@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -30,7 +31,8 @@ EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
 NUMERICAL_ERRORS = (SolverError, dynamics.StepSizeError,
-                    dynamics.NoOscillationError, twoqubit.StepSizeViolation,
+                    dynamics.NoOscillationError,
+                    twoqubit.NoExchangeCouplingError,
                     adiabatic.DegenerateSplittingError)
 
 # CSV: comma-separated, '.' decimal, 17 significant digits.
@@ -149,6 +151,15 @@ def _parse_times_ns(text: str, scales) -> np.ndarray:
     return values
 
 
+def _positive_ns(flag: str, value_ns):
+    """Optional duration flag in ns, converted to s; finite and > 0."""
+    if value_ns is None:
+        return None
+    if not (math.isfinite(value_ns) and value_ns > 0):
+        raise ConfigError(flag, "must be finite and > 0")
+    return value_ns * 1e-9
+
+
 def cmd_levels(args) -> int:
     t_start = time.time()
     config = _load(args)
@@ -242,22 +253,11 @@ def cmd_adiabaticity(args) -> int:
 def cmd_rabi(args) -> int:
     t_start = time.time()
     config = _load(args)
+    duration = _positive_ns("--duration", args.duration)
     sol = pipeline.solve_qubit(config, CONSTANTS)
     scales = sol.scales
     u = _Units(args.units, scales)
-    if args.duration is not None:
-        params = pipeline.rabi_parameters(sol, CONSTANTS)
-        dt = dynamics.suggested_step(params)
-        traj = dynamics.integrate_rabi(params, (0.0, args.duration * 1e-9),
-                                       dt, (1.0, 0.0))
-        window = int(round(2.0 * np.pi / params.omega_drive
-                           / (traj.times[1] - traj.times[0])))
-        period = dynamics.extract_rabi_period(traj, smooth_window=window)
-        estimated = 2.0 * np.pi / abs(params.D[0, 1])
-        result = pipeline.RabiResult(params=params, trajectory=traj,
-                                     period=period, estimated_period=estimated)
-    else:
-        result = pipeline.simulate_rabi(sol, CONSTANTS)
+    result = pipeline.simulate_rabi(sol, CONSTANTS, duration=duration)
     traj = result.trajectory
     stride = max(1, (traj.times.size - 1) // (MAX_TRAJECTORY_ROWS - 1))
     sel = slice(None, None, stride)
@@ -296,8 +296,9 @@ def cmd_twoqubit(args) -> int:
     t_start = time.time()
     config = _load(args)
     d = args.d if args.d is not None else config.channel_separation
-    if not (d > 0):
-        raise ConfigError("--d", "must be strictly positive")
+    if not (math.isfinite(d) and d > 0):
+        raise ConfigError("--d", "must be finite and > 0")
+    duration = _positive_ns("--duration", args.duration)
     if args.fixture_paper_z:
         scales = derive_scales(config, CONSTANTS)
         coeffs = pipeline.twoqubit_coefficients_from_reference(d, CONSTANTS)
@@ -310,19 +311,15 @@ def cmd_twoqubit(args) -> int:
         zu = zl = z
     u = _Units(args.units, scales)
     gate_time = twoqubit.gate_time_for_iswap(coeffs, CONSTANTS)
-    t_max = args.duration * 1e-9 if args.duration is not None else gate_time
-    dt = CONSTANTS.hbar / (200.0 * max(abs(coeffs.lambda_u),
-                                       abs(coeffs.lambda_l)))
+    t_max = duration if duration is not None else gate_time
     sweep_times = np.linspace(t_max / 32.0, t_max, 32)
-    fids = twoqubit.fidelity_sweep(coeffs, sweep_times, dt, CONSTANTS)
+    fids = twoqubit.rwa_fidelity(coeffs, np.append(sweep_times, gate_time),
+                                 CONSTANTS)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "fidelity.csv")
     _write_csv(csv_path, [u.col("t", "s"), "fidelity"],
-               zip(u.val(sweep_times, "s"), fids))
-    full = twoqubit.full_interaction_propagator(coeffs, gate_time, dt,
-                                                CONSTANTS)
-    rwa = twoqubit.iswap_propagator(coeffs, gate_time, CONSTANTS)
-    rwa_fid = twoqubit.gate_fidelity(full, rwa)
+               zip(u.val(sweep_times, "s"), fids[:-1]))
+    rwa_fid = float(fids[-1])
     summary = {
         "d_m": d,
         "z_u00": u.val(zu.z00, "m"), "z_u11": u.val(zu.z11, "m"),

@@ -80,26 +80,6 @@ def rabi_coefficients(psi0: EigenPair, psi1: EigenPair, V_e: float,
     return D
 
 
-def inverse_element_rabi_coefficients(psi0: EigenPair, psi1: EigenPair,
-                                      V_e: float, a: float, grid: Grid,
-                                      hbar: float = 1.0) -> np.ndarray:
-    """Alternative coupling with the cosh^2 matrix element in the denominator.
-
-    Kept for comparison output only; dimensionally inconsistent with the
-    drive Hamiltonian and never used by default.
-    """
-    def cosh2(z):
-        return np.cosh(z / a) ** 2
-
-    states = (psi0, psi1)
-    D = np.empty((2, 2))
-    for i in range(2):
-        for j in range(i, 2):
-            D[i, j] = D[j, i] = V_e / (hbar * matrix_element(
-                states[i], states[j], cosh2, grid))
-    return D
-
-
 def suggested_step(params: RabiParameters,
                    factor: float = DEFAULT_STEP_FACTOR) -> float:
     """Default integration step resolving the fastest frequency."""

@@ -2,8 +2,9 @@
 
 Each oracle builds its own reference value from a closed form (sech^2 well
 spectrum, particle in a box, harmonic oscillator, two-level rotating-wave
-solution, finite-difference derivative checks) and compares the production
-code against it.  The validation subcommand and the test suite both run
+solution, finite-difference derivative checks, time-ordered product of the
+two-qubit interaction Hamiltonian) and compares the production code
+against it.  The validation subcommand and the test suite both run
 these; keeping them in one place means the shipped binary can re-verify
 itself on any machine.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, potential
+from . import dynamics, potential, twoqubit
 from .constants import CONSTANTS
 from .eigensolver import NATURAL_MASS, build_grid, build_hamiltonian, solve_lowest
 from .params import DeviceConfig, derive_scales
@@ -25,6 +26,8 @@ RWA_ATOL = 1e-3
 DERIVATIVE_RTOL = 1e-6
 FORCE_RTOL = 1e-8
 SLOPE_TOL = 0.05
+PROPAGATOR_ATOL = 1e-5
+UNITARITY_ATOL = 1e-12
 
 
 @dataclass
@@ -191,6 +194,52 @@ def check_quadratic_coulomb_slope(d: float = 1e-6) -> OracleResult:
                   "tolerance": SLOPE_TOL})
 
 
+def time_ordered_propagator(coeffs: twoqubit.PauliCoefficients, t: float,
+                            n_steps: int) -> np.ndarray:
+    """Product of ``n_steps`` midpoint-step exponentials of the full
+    interaction-picture Hamiltonian over [0, t].
+
+    Each step is the exact exponential of the 4x4 Hermitian midpoint matrix;
+    the steps are multiplied pairwise, later steps on the left.  Memory
+    grows with ``n_steps`` (a few 256-byte matrices per step).
+    """
+    dt = t / n_steps
+    mids = (np.arange(n_steps) + 0.5) * dt
+    w, v = np.linalg.eigh(twoqubit.interaction_hamiltonian(coeffs, mids))
+    u = (v * np.exp(-1j * w * dt / CONSTANTS.hbar)[:, None, :]) @ \
+        v.conj().swapaxes(1, 2)
+    while len(u) > 1:
+        if len(u) % 2:
+            u = np.concatenate([u, np.eye(4)[None]])
+        u = u[1::2] @ u[0::2]
+    return u[0]
+
+
+def check_interaction_propagator(ratio: float = 0.1,
+                                 n_steps: int = 3200) -> OracleResult:
+    """Exact two-qubit propagator vs the time-ordered midpoint product.
+
+    All six Pauli couplings are nonzero and the two frequencies differ, so
+    every counter-rotating term enters; the run spans one iSWAP gate time.
+    """
+    lam = 4e-23
+    c = ratio * lam
+    coeffs = twoqubit.PauliCoefficients(
+        cu_z=0.0, cl_z=0.0, cu_x=0.3 * c, cl_x=-0.2 * c, c_zz=0.5 * c,
+        c_xx=c, c_zx=0.4 * c, c_xz=-0.25 * c,
+        lambda_u=lam, lambda_l=1.02 * lam)
+    t = twoqubit.gate_time_for_iswap(coeffs)
+    exact = twoqubit.interaction_propagator(coeffs, t)
+    dev = float(np.max(np.abs(exact - time_ordered_propagator(coeffs, t,
+                                                                n_steps))))
+    defect = float(np.max(np.abs(exact.conj().T @ exact - np.eye(4))))
+    return OracleResult(
+        name="interaction_propagator",
+        passed=bool(dev <= PROPAGATOR_ATOL and defect <= UNITARITY_ATOL),
+        measured={"max_abs_deviation": dev, "tolerance": PROPAGATOR_ATOL,
+                  "unitarity_defect": defect, "steps": n_steps})
+
+
 def run_all(n_points: int = 4096) -> list[OracleResult]:
     """The full oracle suite at production resolution."""
     return [
@@ -202,4 +251,5 @@ def run_all(n_points: int = 4096) -> list[OracleResult]:
         check_saw_time_derivative(),
         check_coulomb_force_consistency(),
         check_quadratic_coulomb_slope(),
+        check_interaction_propagator(),
     ]

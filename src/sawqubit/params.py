@@ -59,19 +59,17 @@ class DeviceConfig:
         self.validate()
 
     def validate(self):
+        for name in CONFIG_FILE_KEYS.values():
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(name, "must be finite")
         positive = ("a", "l0", "saw_wavelength", "saw_velocity",
                     "effective_mass_ratio", "channel_separation")
         for name in positive:
             if not (getattr(self, name) > 0):
                 raise ConfigError(name, "must be strictly positive")
-        if not (self.gamma >= 0) or not math.isfinite(self.gamma):
-            raise ConfigError("gamma", "must be finite and >= 0")
-        if self.gamma < 0:
-            raise ConfigError("gamma", "must be >= 0")
-        if not (self.drive_ratio >= 0):
-            raise ConfigError("drive_ratio", "must be >= 0")
-        if not (self.temperature >= 0):
-            raise ConfigError("temperature", "must be >= 0")
+        for name in ("gamma", "drive_ratio", "temperature"):
+            if not (getattr(self, name) >= 0):
+                raise ConfigError(name, "must be >= 0")
 
     def as_file_dict(self) -> dict:
         """Config echoed in file-key form (all keys, no hidden defaults)."""

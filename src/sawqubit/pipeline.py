@@ -22,14 +22,11 @@ DEFAULT_N_LEVELS = 3
 
 # Reference per-dot position matrix elements for a two-channel device
 # (upper/lower), in meters; used to exercise the coupling pipeline without
-# re-solving the spectra.  REFERENCE_TRANSIT_DISPLACEMENT is an associated
-# published constant with no role in the coefficient formulas; housed here
-# for completeness only.
+# re-solving the spectra.
 REFERENCE_Z_UPPER = twoqubit.ZMatrixElements(
     z00=-5.6186e-7, z11=-5.6975e-7, z01=-5.6431e-8)
 REFERENCE_Z_LOWER = twoqubit.ZMatrixElements(
     z00=-5.3594e-7, z11=-5.4418e-7, z01=-5.6607e-8)
-REFERENCE_TRANSIT_DISPLACEMENT = 2.981e-8  # m
 REFERENCE_QUBIT_SPLITTING = 8.3667e-23  # J, used with the reference elements
 
 
@@ -207,17 +204,20 @@ class RabiResult:
 def simulate_rabi(sol: QubitSolution,
                   constants: PhysicalConstants = CONSTANTS,
                   n_periods: float = 1.5,
-                  step_factor: float = dynamics.DEFAULT_STEP_FACTOR) -> RabiResult:
+                  step_factor: float = dynamics.DEFAULT_STEP_FACTOR,
+                  duration: float | None = None) -> RabiResult:
     """Integrate the resonant drive from |0> and extract the flip period.
 
-    The trajectory spans ``n_periods`` estimated Rabi periods; the period
-    extraction smooths over one drive period to suppress micromotion.
+    The trajectory spans ``duration`` seconds when given, else ``n_periods``
+    estimated Rabi periods; the period extraction smooths over one drive
+    period to suppress micromotion.
     """
     params = rabi_parameters(sol, constants)
     estimated = 2.0 * np.pi / abs(params.D[0, 1])
+    if duration is None:
+        duration = n_periods * estimated
     dt = dynamics.suggested_step(params, step_factor)
-    traj = dynamics.integrate_rabi(params, (0.0, n_periods * estimated), dt,
-                                   (1.0, 0.0))
+    traj = dynamics.integrate_rabi(params, (0.0, duration), dt, (1.0, 0.0))
     dt_actual = float(traj.times[1] - traj.times[0])
     window = int(round(2.0 * np.pi / params.omega_drive / dt_actual))
     period = dynamics.extract_rabi_period(traj, smooth_window=window)

@@ -2,8 +2,9 @@
 
 Pipeline: per-dot position matrix elements -> Pauli decomposition of the
 quadratic inter-channel Coulomb coupling -> interaction-picture Hamiltonian
-(with counter-rotating terms) -> rotating-wave closed-form iSWAP propagator
-and a numerically time-ordered full propagator for fidelity comparison.
+(with counter-rotating terms) -> rotating-wave closed-form iSWAP propagator,
+compared with the exact interaction-picture propagator of the full
+Hamiltonian by gate fidelity.
 
 Basis ordering everywhere: |11>, |10>, |01>, |00> (upper qubit first).
 """
@@ -17,8 +18,6 @@ import numpy as np
 
 from .constants import PhysicalConstants, CONSTANTS
 from .eigensolver import EigenPair, Grid, matrix_element
-
-UNITARITY_TOL = 1e-10
 
 # Single-qubit operators in the (|1>, |0>) basis.
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -42,6 +41,10 @@ class RwaDetuningWarning(UserWarning):
 
 class QuadraticExpansionWarning(UserWarning):
     """Dot displacement too large for the quadratic Coulomb expansion."""
+
+
+class NoExchangeCouplingError(ValueError):
+    """c_xx is zero (e.g. underflowed at a large separation): no iSWAP."""
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ class TwoQubitPropagator:
     """4x4 unitary in the |11>, |10>, |01>, |00> basis."""
 
     matrix: np.ndarray
-    method: str  # "rwa_closed_form" | "time_ordered_full"
+    method: str  # "rwa_closed_form" | "interaction_exact"
 
     def unitarity_defect(self) -> float:
         u = self.matrix
@@ -172,7 +175,8 @@ def gate_time_for_iswap(coeffs: PauliCoefficients,
                         constants: PhysicalConstants = CONSTANTS) -> float:
     """Time at which |xi| reaches pi/2 (the iSWAP point)."""
     if coeffs.c_xx == 0:
-        raise ValueError("c_xx is zero; no exchange coupling, no iSWAP")
+        raise NoExchangeCouplingError(
+            "c_xx is zero; no exchange coupling, no iSWAP")
     return (math.pi / 2.0) * constants.hbar / abs(coeffs.c_xx)
 
 
@@ -190,17 +194,6 @@ _SZU_SPL = _upper(_SZ) @ _SPL
 _SZU_SML = _upper(_SZ) @ _SML
 _SPU_SZL = _SPU @ _lower(_SZ)
 _SMU_SZL = _SMU @ _lower(_SZ)
-
-
-class StepSizeViolation(ValueError):
-    """Propagator step too coarse for the interaction-picture frequencies."""
-
-
-def _reunitarize(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar projection); curbs float drift over long
-    step-product accumulations."""
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh
 
 
 def interaction_hamiltonian(coeffs: PauliCoefficients, t,
@@ -225,79 +218,40 @@ def interaction_hamiltonian(coeffs: PauliCoefficients, t,
     return h
 
 
-def full_interaction_propagator(coeffs: PauliCoefficients, t: float, dt: float,
-                                constants: PhysicalConstants = CONSTANTS,
-                                chunk: int = 65536) -> TwoQubitPropagator:
-    """Time-ordered product of midpoint-step exponentials of the full Hamiltonian.
+def interaction_propagator(coeffs: PauliCoefficients, t,
+                           constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+    """Exact propagator of ``interaction_hamiltonian``, counter-rotating terms
+    included.
 
-    Each step uses the exact unitary exponential of the 4x4 Hermitian matrix
-    (batched eigendecomposition).
+    The interaction picture is taken with respect to the time-independent
+    H0 = lambda_u sz_u + lambda_l sz_l of a constant lab-frame Hamiltonian
+    H0 + V, so U_I(t) = exp(i H0 t/hbar) exp(-i (H0 + V) t/hbar) exactly.
+    One eigendecomposition of H0 + V serves every time.  ``t`` may be a
+    scalar (returns 4x4) or an array (returns stacked (len(t), 4, 4)).
     """
     hbar = constants.hbar
-    lmax = max(abs(coeffs.lambda_u), abs(coeffs.lambda_l))
-    if lmax > 0 and dt > hbar / (200.0 * lmax):
-        raise StepSizeViolation(
-            f"dt={dt:.3e} exceeds hbar/(200*max|lambda|)={hbar / (200.0 * lmax):.3e}")
-    n_steps = max(1, int(math.ceil(t / dt)))
-    dt = t / n_steps
-    u = np.eye(4, dtype=complex)
-    for start in range(0, n_steps, chunk):
-        stop = min(start + chunk, n_steps)
-        mids = (np.arange(start, stop) + 0.5) * dt
-        hs = interaction_hamiltonian(coeffs, mids, constants)
-        w, v = np.linalg.eigh(hs)
-        phases = np.exp(-1j * w * dt / hbar)
-        steps = np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
-        for s in steps:
-            u = s @ u
-        u = _reunitarize(u)
-    prop = TwoQubitPropagator(matrix=u, method="time_ordered_full")
-    defect = prop.unitarity_defect()
-    if defect > UNITARITY_TOL:
-        raise StepSizeViolation(
-            f"accumulated propagator lost unitarity: defect {defect:.3e}")
-    return prop
+    h0 = (coeffs.lambda_u * np.diag(_upper(_SZ))
+          + coeffs.lambda_l * np.diag(_lower(_SZ)))  # H0 is diagonal
+    v = (coeffs.cu_x * _upper(_SX) + coeffs.cl_x * _lower(_SX)
+         + coeffs.c_zz * _SZZ + coeffs.c_xx * _upper(_SX) @ _lower(_SX)
+         + coeffs.c_zx * _upper(_SZ) @ _lower(_SX)
+         + coeffs.c_xz * _upper(_SX) @ _lower(_SZ))
+    w, vecs = np.linalg.eigh(np.diag(h0) + v)
+    tt = np.asarray(t, dtype=float)[..., None] / hbar
+    lab = (vecs * np.exp(-1j * w * tt)[..., None, :]) @ vecs.conj().T
+    return np.exp(1j * h0 * tt)[..., :, None] * lab
 
 
-def fidelity_sweep(coeffs: PauliCoefficients, times, dt: float,
-                   constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
-    """Fidelity of the full propagator against the closed form at each time.
-
-    One cumulative time-ordered propagation with snapshots at the requested
-    times (rounded to step boundaries), so the sweep costs the same as a
-    single propagation to max(times).
-    """
-    hbar = constants.hbar
-    lmax = max(abs(coeffs.lambda_u), abs(coeffs.lambda_l))
-    if lmax > 0 and dt > hbar / (200.0 * lmax):
-        raise StepSizeViolation(
-            f"dt={dt:.3e} exceeds hbar/(200*max|lambda|)={hbar / (200.0 * lmax):.3e}")
-    times = np.asarray(times, dtype=float)
-    if times.size == 0 or np.any(times < 0) or not np.all(np.diff(times) > 0):
-        raise ValueError("times must be nonempty, nonnegative, increasing")
-    t_max = float(times[-1])
-    n_steps = max(1, int(math.ceil(t_max / dt)))
-    dt = t_max / n_steps
-    snap_steps = np.rint(times / dt).astype(int)
-    mids = (np.arange(n_steps) + 0.5) * dt
-    hs = interaction_hamiltonian(coeffs, mids, constants)
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dt / hbar)
-    steps = np.einsum("nij,nj,nkj->nik", v, phases, v.conj())
-    u = np.eye(4, dtype=complex)
-    out = np.empty(times.size)
-    cursor = 0
-    for k in range(times.size):
-        target = snap_steps[k]
-        while cursor < target:
-            u = steps[cursor] @ u
-            cursor += 1
-            if cursor % 65536 == 0:
-                u = _reunitarize(u)
-        full = TwoQubitPropagator(matrix=u, method="time_ordered_full")
-        out[k] = gate_fidelity(full, iswap_propagator(coeffs, cursor * dt,
-                                                      constants))
-    return out
+def rwa_fidelity(coeffs: PauliCoefficients, times,
+                 constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+    """Fidelity of the closed-form iSWAP against the exact full propagator
+    at each of ``times``."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    full = interaction_propagator(coeffs, times, constants)
+    return np.array([
+        gate_fidelity(TwoQubitPropagator(matrix=u, method="interaction_exact"),
+                      iswap_propagator(coeffs, t, constants))
+        for u, t in zip(full, times)])
 
 
 def gate_fidelity(U_a: TwoQubitPropagator, U_b: TwoQubitPropagator) -> float:

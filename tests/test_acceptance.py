@@ -15,11 +15,9 @@ import pytest
 
 import conftest
 from sawqubit import adiabatic, cli, pipeline, twoqubit
-from sawqubit.constants import CONSTANTS
 from sawqubit.params import DeviceConfig, derive_scales
-from sawqubit.twoqubit import (PauliCoefficients, full_interaction_propagator,
-                               gate_fidelity, gate_time_for_iswap,
-                               iswap_propagator)
+from sawqubit.twoqubit import (PauliCoefficients, gate_time_for_iswap,
+                               iswap_propagator, rwa_fidelity)
 
 TRANSIT_TIME_TARGET = 0.34e-9  # s
 SPLITTING_TARGET = 8.3667e-23  # J
@@ -153,15 +151,12 @@ def test_a7_gate_algebra():
 
 def test_a8_rwa_validity():
     lam = 4e-23
-    dt = CONSTANTS.hbar / (200.0 * lam)
     fidelities = []
     for ratio in np.logspace(-3, -2, 5):
         coeffs = PauliCoefficients(cu_z=0.0, cl_z=0.0, cu_x=0.0, cl_x=0.0,
                                    c_zz=0.0, c_xx=ratio * lam, c_zx=0.0,
                                    c_xz=0.0, lambda_u=lam, lambda_l=lam)
-        t = gate_time_for_iswap(coeffs)
-        full = full_interaction_propagator(coeffs, t, dt)
-        fidelities.append(gate_fidelity(full, iswap_propagator(coeffs, t)))
+        fidelities.append(rwa_fidelity(coeffs, gate_time_for_iswap(coeffs))[0])
     ok = fidelities[0] >= 0.99 and np.all(np.diff(fidelities) <= 1e-9)
     report("A8", ok,
            f"fidelity {fidelities[0]:.6f} at coupling ratio 1e-3, "

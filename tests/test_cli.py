@@ -34,10 +34,20 @@ def test_derive_reads_config_file(tmp_path):
 
 def test_invalid_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({"gamma": -1.0}))
     out = tmp_path / "out"
-    assert run(["derive", "--config", str(cfg), "--out", str(out)]) == 2
-    assert "gamma" in capsys.readouterr().err
+    for args, config, culprit in (
+            (["derive"], {"gamma": -1.0}, "gamma"),
+            (["derive"], {"a_m": float("inf")}, "a:"),
+            (["twoqubit"], {"channel_separation_m": float("inf")},
+             "channel_separation"),
+            (["rabi", "--duration", "-1"], {}, "--duration"),
+            (["rabi", "--duration", "nan"], {}, "--duration"),
+            (["twoqubit", "--duration", "inf"], {}, "--duration"),
+            (["twoqubit", "--d", "nan"], {}, "--d"),
+            (["twoqubit", "--d", "0"], {}, "--d")):
+        cfg.write_text(json.dumps(config))
+        assert run(args + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert culprit in capsys.readouterr().err
 
 
 def test_unknown_config_key_exit_code(tmp_path, capsys):
@@ -53,6 +63,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert run(["rabi", "--duration", "0.0005",
                 "--out", str(tmp_path / "out")]) == 3
     assert "numerical failure" in capsys.readouterr().err
+    # the exchange coupling underflows to zero at this separation
+    assert run(["twoqubit", "--fixture-paper-z", "--d", "1e100",
+                "--out", str(tmp_path / "out")]) == 3
+    assert "c_xx is zero" in capsys.readouterr().err
 
 
 def test_derive_determinism(tmp_path):
@@ -96,6 +110,19 @@ def test_twoqubit_fixture_summary(tmp_path):
     assert doc["published_czz_over_cxx"] == 1.3e-3
     assert doc["discrepancy_documented"] is True
     assert doc["rwa_fidelity"] > 0.99
+
+
+def test_twoqubit_wide_separation(tmp_path):
+    # weak coupling: the gate time spans ~3e4 qubit precession periods
+    out = tmp_path / "out"
+    assert run(["twoqubit", "--fixture-paper-z", "--d", "1e-5",
+                "--out", str(out)]) == 0
+    lines = (out / "fidelity.csv").read_text().splitlines()[1:]
+    fids = [float(line.split(",")[1]) for line in lines]
+    assert len(fids) == 32
+    assert all(0.0 <= f <= 1.0 for f in fids)
+    doc = json.loads((out / "twoqubit_summary.json").read_text())
+    assert 0.0 <= doc["rwa_fidelity"] <= 1.0
 
 
 def test_units_agreement(tmp_path):

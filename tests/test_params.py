@@ -78,6 +78,12 @@ def test_invalid_fields_name_the_culprit():
         DeviceConfig(saw_velocity=0.0)
     with pytest.raises(ConfigError, match="temperature"):
         DeviceConfig(temperature=-0.1)
+    with pytest.raises(ConfigError, match="^a: must be finite"):
+        DeviceConfig(a=math.inf)
+    with pytest.raises(ConfigError, match="channel_separation"):
+        DeviceConfig(channel_separation=math.inf)
+    with pytest.raises(ConfigError, match="drive_ratio"):
+        DeviceConfig(drive_ratio=math.nan)
 
 
 def test_thermal_check():
