@@ -33,6 +33,7 @@ EXIT_VALIDATION = 4
 NUMERICAL_ERRORS = (SolverError, dynamics.StepSizeError,
                     dynamics.NoOscillationError,
                     twoqubit.NoExchangeCouplingError,
+                    twoqubit.PhaseResolutionError,
                     adiabatic.DegenerateSplittingError)
 
 # CSV: comma-separated, '.' decimal, 17 significant digits.
@@ -148,6 +149,8 @@ def _parse_times_ns(text: str, scales) -> np.ndarray:
         raise ConfigError("--times", f"not a comma-separated number list: {exc}")
     if values.size == 0:
         raise ConfigError("--times", "empty time list")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("--times", "every time must be finite")
     return values
 
 
@@ -164,6 +167,9 @@ def cmd_levels(args) -> int:
     t_start = time.time()
     config = _load(args)
     scales = derive_scales(config, CONSTANTS)
+    if not 1 <= args.levels <= pipeline.DOT_WINDOW_POINTS:
+        raise ConfigError("--levels",
+                          f"must be in [1, {pipeline.DOT_WINDOW_POINTS}]")
     if args.times is not None:
         times = _parse_times_ns(args.times, scales)
     else:

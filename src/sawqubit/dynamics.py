@@ -6,7 +6,10 @@ The amplitude equations (with level frequencies w0, w1 and a cosine drive)
     dC1/dt = -i w1 C1 - i (D11 C1 + D10 C0) cos(w t)
 
 are integrated with a fixed-step classical 4th-order Runge-Kutta scheme for
-deterministic, regression-friendly output.
+deterministic, regression-friendly output.  Being linear, each RK4 step is a
+2x2 matrix; the matrices are built in numpy and applied by a chunked blocked
+prefix scan, so no Python code runs once per step.  The step-by-step loop is
+kept as ``oracles.scalar_rk4``, the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -19,6 +22,9 @@ from .eigensolver import EigenPair, Grid, matrix_element
 
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
 DEFAULT_STEP_FACTOR = 1000.0
+MAX_STEPS = 1e8  # 4 GB of times and amplitudes
+CHUNK_STEPS = 4096  # steps whose matrices are held in memory at once
+BLOCK_STEPS = 64  # steps per prefix-product block
 
 
 class StepSizeError(ValueError):
@@ -86,9 +92,55 @@ def suggested_step(params: RabiParameters,
     return 2.0 * math.pi / (factor * params.max_frequency())
 
 
+def _matmul(a, b):
+    """2x2 product of matrices stored as four entry arrays (00, 01, 10, 11)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
+
+
+def _step_matrices(params: RabiParameters, t: np.ndarray, dt: float) -> tuple:
+    """Entries of the RK4 step matrices for the steps starting at ``t``.
+
+    With dC/dt = -i H(t) C, H = diag(w0, w1) + D cos(w t), and G = dt H at
+    the start (a), midpoint (b) and end (c) of a step, one RK4 step maps C
+    to M C with
+        M = I - i (Ga + 4 Gb + Gc)/6 - (Gb Ga + Gb^2 + Gc Gb)/6
+              + i (Gb^2 Ga + Gc Gb^2)/12 + Gc Gb^2 Ga/24.
+    """
+    d00, d01, d10, d11 = (dt * params.D[i, j] for i in (0, 1) for j in (0, 1))
+    g0 = dt * params.omega0
+    g1 = dt * params.omega1
+    w = params.omega_drive
+
+    def g(cos):
+        return (g0 + d00 * cos, d01 * cos, d10 * cos, g1 + d11 * cos)
+
+    ga = g(np.cos(w * t))
+    gb = g(np.cos(w * (t + dt / 2.0)))
+    gc = g(np.cos(w * (t + dt)))
+    gb2 = _matmul(gb, gb)
+    gcgb2 = _matmul(gc, gb2)
+    terms = zip((1.0, 0.0, 0.0, 1.0), ga, gb, gc, _matmul(gb, ga), gb2,
+                _matmul(gc, gb), _matmul(gb2, ga), gcgb2, _matmul(gcgb2, ga))
+    return tuple(
+        eye - (ba + bb + cb) / 6.0 + cbba / 24.0
+        + 1j * ((bba + cbb) / 12.0 - (a + 4.0 * b + c) / 6.0)
+        for eye, a, b, c, ba, bb, cb, bba, cbb, cbba in terms)
+
+
 def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
                    dt: float, initial: tuple[complex, complex]) -> RabiTrajectory:
-    """Fixed-step RK4 integration of the amplitude equations."""
+    """Fixed-step RK4 integration of the amplitude equations.
+
+    The equations are linear, so each RK4 step is a 2x2 matrix
+    (``_step_matrices``).  The steps are taken CHUNK_STEPS at a time.  In a
+    chunk, prefix products run over blocks of BLOCK_STEPS consecutive steps,
+    one vectorized pass per position in the block across all blocks; the
+    state is then carried from block to block and from chunk to chunk.
+    Python work grows with the number of blocks, not of steps.
+    """
     c0, c1 = complex(initial[0]), complex(initial[1])
     norm = abs(c0) ** 2 + abs(c1) ** 2
     if abs(norm - 1.0) > 1e-10:
@@ -99,16 +151,12 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
             f"dt={dt:.3e} exceeds 2*pi/({STEP_SAFETY:.0f}*max_frequency)="
             f"{2.0 * math.pi / (STEP_SAFETY * wmax):.3e}")
     t0, t1 = t_span
+    if not (dt > 0 and (t1 - t0) / dt <= MAX_STEPS):
+        raise StepSizeError(
+            f"span {t1 - t0:.3e} s at dt={dt:.3e} s is not a finite count "
+            f"of at most {MAX_STEPS:.0e} steps")
     n_steps = max(1, int(math.ceil((t1 - t0) / dt)))
     dt = (t1 - t0) / n_steps
-
-    w0 = params.omega0
-    w1 = params.omega1
-    w = params.omega_drive
-    d00 = params.D[0, 0]
-    d01 = params.D[0, 1]
-    d10 = params.D[1, 0]
-    d11 = params.D[1, 1]
 
     times = t0 + dt * np.arange(n_steps + 1)
     out0 = np.empty(n_steps + 1, dtype=complex)
@@ -116,37 +164,28 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
     out0[0] = c0
     out1[0] = c1
 
-    half = dt / 2.0
-    sixth = dt / 6.0
-    t = t0
-    for step in range(n_steps):
-        cos_a = math.cos(w * t)
-        cos_b = math.cos(w * (t + half))
-        cos_c = math.cos(w * (t + dt))
-
-        k0a = -1j * (w0 * c0 + (d00 * c0 + d01 * c1) * cos_a)
-        k1a = -1j * (w1 * c1 + (d11 * c1 + d10 * c0) * cos_a)
-
-        y0 = c0 + half * k0a
-        y1 = c1 + half * k1a
-        k0b = -1j * (w0 * y0 + (d00 * y0 + d01 * y1) * cos_b)
-        k1b = -1j * (w1 * y1 + (d11 * y1 + d10 * y0) * cos_b)
-
-        y0 = c0 + half * k0b
-        y1 = c1 + half * k1b
-        k0c = -1j * (w0 * y0 + (d00 * y0 + d01 * y1) * cos_b)
-        k1c = -1j * (w1 * y1 + (d11 * y1 + d10 * y0) * cos_b)
-
-        y0 = c0 + dt * k0c
-        y1 = c1 + dt * k1c
-        k0d = -1j * (w0 * y0 + (d00 * y0 + d01 * y1) * cos_c)
-        k1d = -1j * (w1 * y1 + (d11 * y1 + d10 * y0) * cos_c)
-
-        c0 = c0 + sixth * (k0a + 2.0 * (k0b + k0c) + k0d)
-        c1 = c1 + sixth * (k1a + 2.0 * (k1b + k1c) + k1d)
-        t = t0 + (step + 1) * dt
-        out0[step + 1] = c0
-        out1[step + 1] = c1
+    # step index of position j in block b, laid out [j, b]
+    in_block = np.arange(BLOCK_STEPS)[:, None]
+    for start in range(0, n_steps, CHUNK_STEPS):
+        count = min(CHUNK_STEPS, n_steps - start)
+        n_blocks = -(-count // BLOCK_STEPS)
+        steps = start + in_block + BLOCK_STEPS * np.arange(n_blocks)
+        m = _step_matrices(params, t0 + dt * steps, dt)
+        for j in range(1, BLOCK_STEPS):
+            for entry, value in zip(m, _matmul([e[j] for e in m],
+                                               [e[j - 1] for e in m])):
+                entry[j] = value
+        # state entering each block; only the last chunk can end inside a
+        # block, and its padding steps are computed but not written out
+        s0 = np.empty(n_blocks, dtype=complex)
+        s1 = np.empty(n_blocks, dtype=complex)
+        p00, p01, p10, p11 = (e[-1].tolist() for e in m)
+        for b in range(n_blocks):
+            s0[b], s1[b] = c0, c1
+            c0, c1 = p00[b] * c0 + p01[b] * c1, p10[b] * c0 + p11[b] * c1
+        span = slice(start + 1, start + 1 + count)
+        out0[span] = (m[0] * s0 + m[1] * s1).T.ravel()[:count]
+        out1[span] = (m[2] * s0 + m[3] * s1).T.ravel()[:count]
 
     return RabiTrajectory(times=times, c0=out0, c1=out1)
 

@@ -213,6 +213,9 @@ def simulate_rabi(sol: QubitSolution,
     period to suppress micromotion.
     """
     params = rabi_parameters(sol, constants)
+    if params.D[0, 1] == 0:
+        raise dynamics.NoOscillationError(
+            "D01 is zero (no drive coupling); the levels never flip")
     estimated = 2.0 * np.pi / abs(params.D[0, 1])
     if duration is None:
         duration = n_periods * estimated

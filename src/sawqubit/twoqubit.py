@@ -44,7 +44,17 @@ class QuadraticExpansionWarning(UserWarning):
 
 
 class NoExchangeCouplingError(ValueError):
-    """c_xx is zero (e.g. underflowed at a large separation): no iSWAP."""
+    """No usable exchange coupling: c_xx is zero (e.g. underflowed at a large
+    separation) or d**3 leaves the float range."""
+
+
+class PhaseResolutionError(ValueError):
+    """Phases lambda*t/hbar too large for float64 to resolve."""
+
+
+# Largest allowed float64 rounding (rad) of the largest phase lambda*t/hbar;
+# reached at a phase of ~4.5e9 rad.
+PHASE_ROUNDING_LIMIT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,14 +106,18 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     """
     if not (d > 0):
         raise ValueError("channel separation d must be positive")
+    try:
+        q = constants.elementary_charge**2 / (
+            4.0 * math.pi * constants.vacuum_permittivity * d**3)
+    except (OverflowError, ZeroDivisionError):
+        raise NoExchangeCouplingError(
+            f"d={d:.3e} m: 4 pi eps0 d**3 leaves the float range") from None
     span = max(abs(zu.z00), abs(zu.z11), abs(zl.z00), abs(zl.z11))
     if 2.0 * span > expansion_guard * d:
         warnings.warn(
             f"dot displacements (~{span:.3e} m) approach the channel "
             f"separation d={d:.3e} m; quadratic Coulomb expansion degrades",
             QuadraticExpansionWarning, stacklevel=2)
-    q = constants.elementary_charge**2 / (
-        4.0 * math.pi * constants.vacuum_permittivity * d**3)
     su = zu.z00 + zu.z11
     sl = zl.z00 + zl.z11
     du = zu.z11 - zu.z00
@@ -230,6 +244,12 @@ def interaction_propagator(coeffs: PauliCoefficients, t,
     scalar (returns 4x4) or an array (returns stacked (len(t), 4, 4)).
     """
     hbar = constants.hbar
+    tt = np.asarray(t, dtype=float)[..., None] / hbar
+    phase = max(abs(coeffs.lambda_u), abs(coeffs.lambda_l)) * np.max(np.abs(tt))
+    if phase * 2.0**-52 > PHASE_ROUNDING_LIMIT:
+        raise PhaseResolutionError(
+            f"phase lambda*t/hbar reaches {phase:.3e} rad; its float64 "
+            f"rounding exceeds {PHASE_ROUNDING_LIMIT:.0e} rad")
     h0 = (coeffs.lambda_u * np.diag(_upper(_SZ))
           + coeffs.lambda_l * np.diag(_lower(_SZ)))  # H0 is diagonal
     v = (coeffs.cu_x * _upper(_SX) + coeffs.cl_x * _lower(_SX)
@@ -237,7 +257,6 @@ def interaction_propagator(coeffs: PauliCoefficients, t,
          + coeffs.c_zx * _upper(_SZ) @ _lower(_SX)
          + coeffs.c_xz * _upper(_SX) @ _lower(_SZ))
     w, vecs = np.linalg.eigh(np.diag(h0) + v)
-    tt = np.asarray(t, dtype=float)[..., None] / hbar
     lab = (vecs * np.exp(-1j * w * tt)[..., None, :]) @ vecs.conj().T
     return np.exp(1j * h0 * tt)[..., :, None] * lab
 

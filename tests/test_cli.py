@@ -44,7 +44,10 @@ def test_invalid_config_exit_code(tmp_path, capsys):
             (["rabi", "--duration", "nan"], {}, "--duration"),
             (["twoqubit", "--duration", "inf"], {}, "--duration"),
             (["twoqubit", "--d", "nan"], {}, "--d"),
-            (["twoqubit", "--d", "0"], {}, "--d")):
+            (["twoqubit", "--d", "0"], {}, "--d"),
+            (["levels", "--levels", "0"], {}, "--levels"),
+            (["levels", "--levels", "100000"], {}, "--levels"),
+            (["levels", "--times", "nan"], {}, "--times")):
         cfg.write_text(json.dumps(config))
         assert run(args + ["--config", str(cfg), "--out", str(out)]) == 2
         assert culprit in capsys.readouterr().err
@@ -59,14 +62,29 @@ def test_unknown_config_key_exit_code(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
-    # far too short a span for any population turnover
-    assert run(["rabi", "--duration", "0.0005",
-                "--out", str(tmp_path / "out")]) == 3
-    assert "numerical failure" in capsys.readouterr().err
-    # the exchange coupling underflows to zero at this separation
-    assert run(["twoqubit", "--fixture-paper-z", "--d", "1e100",
-                "--out", str(tmp_path / "out")]) == 3
-    assert "c_xx is zero" in capsys.readouterr().err
+    cfg = tmp_path / "config.json"
+    for args, config, culprit in (
+            # far too short a span for any population turnover
+            (["rabi", "--duration", "0.0005"], {}, "numerical failure"),
+            # no drive coupling, so no flip period to integrate to
+            (["rabi"], {"drive_ratio": 0.0}, "D01 is zero"),
+            # a 1 s span needs more than the 1e8 RK4 steps allowed
+            (["rabi", "--duration", "1e9"], {}, "steps"),
+            # the exchange coupling underflows to zero at this separation
+            (["twoqubit", "--fixture-paper-z", "--d", "1e100"], {},
+             "c_xx is zero"),
+            # d**3 underflows, or overflows
+            (["twoqubit", "--fixture-paper-z", "--d", "1e-300"], {},
+             "float range"),
+            (["twoqubit", "--fixture-paper-z", "--d", "1e103"], {},
+             "float range"),
+            # gate time ~1e98 s: lambda*t/hbar ~1e110 rad has no digits left
+            (["twoqubit", "--fixture-paper-z", "--d", "1e30"], {},
+             "phase")):
+        cfg.write_text(json.dumps(config))
+        assert run(args + ["--config", str(cfg),
+                           "--out", str(tmp_path / "out")]) == 3
+        assert culprit in capsys.readouterr().err
 
 
 def test_derive_determinism(tmp_path):
@@ -86,6 +104,14 @@ def test_levels_determinism(tmp_path):
              if p.name != "manifest.json"]
     assert "levels.csv" in names
     for name in names:
+        assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
+
+
+def test_rabi_determinism(tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert run(["rabi", "--out", str(out_a)]) == 0
+    assert run(["rabi", "--out", str(out_b)]) == 0
+    for name in ("rabi.csv", "rabi_summary.json"):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sawqubit import dynamics
+from sawqubit import dynamics, oracles, pipeline
 from sawqubit.dynamics import (NoOscillationError, RabiParameters,
                                RabiTrajectory, StepSizeError,
                                extract_rabi_period, integrate_rabi,
@@ -72,6 +72,41 @@ def test_rejects_coarse_step():
     params = _synthetic_params(omega1=1e3)
     with pytest.raises(StepSizeError):
         integrate_rabi(params, (0.0, 1.0), 1.0, (1.0, 0.0))
+    # more steps than the output arrays can hold, or no finite count
+    for span in ((0.0, 1e4), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(StepSizeError, match="steps"):
+            integrate_rabi(params, span, 1e-5, (1.0, 0.0))
+
+
+@pytest.mark.parametrize("case", ["default_device", "diagonal_terms",
+                                  1, 63, 64, 65, 4095, 4097])
+def test_vectorized_rk4_matches_scalar_loop(case, request):
+    """The chunked blocked scan reproduces the step-by-step RK4 loop, on
+    the solved device and at step counts around the block and chunk
+    edges."""
+    initial = (1.0, 0.0)
+    if case == "default_device":
+        params = pipeline.rabi_parameters(
+            request.getfixturevalue("qubit_solution"))
+        dt = suggested_step(params)
+        span = (0.0, 3.0 * math.pi / abs(params.D[0, 1]))
+    elif case == "diagonal_terms":
+        params = _synthetic_params(d01=0.5, d00=2.0, d11=1.5)
+        dt = suggested_step(params)
+        span = (0.0, 4.0 * math.pi)
+    else:
+        params = _synthetic_params(d01=0.5, d00=2.0, d11=1.5)
+        dt = suggested_step(params)
+        span = (0.3, 0.3 + case * dt)
+        dt *= 1.0 + 1e-9  # so that rounding cannot add a step
+        initial = (0.6, 0.8j)
+    fast = integrate_rabi(params, span, dt, initial)
+    slow = oracles.scalar_rk4(params, span, dt, initial)
+    if isinstance(case, int):
+        assert fast.times.size == case + 1
+    np.testing.assert_array_equal(fast.times, slow.times)
+    dc = max(np.abs(fast.c0 - slow.c0).max(), np.abs(fast.c1 - slow.c1).max())
+    assert dc <= 1e-10
 
 
 def test_rejects_unnormalized_state():
