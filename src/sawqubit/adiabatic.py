@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import (EigenPair, Grid, LevelTrajectory, matrix_element,
+from .eigensolver import (EigenPair, Grid, matrix_element,
                           natural_effective_potential)
 from .params import DeviceConfig, DerivedScales
 
@@ -51,27 +51,15 @@ def adiabaticity_beta(pair_m: EigenPair, pair_n: EigenPair, t: float,
     return num / de**2
 
 
-def adiabaticity_sweep(times, trajectory, scales: DerivedScales,
-                       grid: Grid | None = None, level_m: int = 0,
+def adiabaticity_sweep(trajectory, scales: DerivedScales, level_m: int = 0,
                        level_n: int = 1) -> list[AdiabaticityReport]:
-    """beta(t) for one level pair over a tracked trajectory.
-
-    Works for both the fixed-grid LevelTrajectory and the moving-window
-    dot trajectory (which carries one grid per time sample).
-    """
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isin(times, trajectory.times)):
-        raise ValueError("requested times not covered by the trajectory")
-    per_time_grids = getattr(trajectory, "grids", None)
-    if per_time_grids is None and grid is None:
-        raise ValueError("a grid is required for fixed-grid trajectories")
+    """beta(t) for one level pair at every sample of a dot trajectory
+    (``pipeline.DotTrajectory``, one window grid per time)."""
     reports = []
-    for t in times:
-        i = int(np.flatnonzero(trajectory.times == t)[0])
-        pm = trajectory.levels[i][level_m]
-        pn = trajectory.levels[i][level_n]
-        g = per_time_grids[i] if per_time_grids is not None else grid
-        beta = adiabaticity_beta(pm, pn, t, g, scales)
+    for t, pairs, grid in zip(trajectory.times, trajectory.levels,
+                              trajectory.grids):
+        pm, pn = pairs[level_m], pairs[level_n]
+        beta = adiabaticity_beta(pm, pn, t, grid, scales)
         reports.append(AdiabaticityReport(
             time=float(t), level_m=level_m, level_n=level_n, beta=beta,
             splitting=scales.energy_to_si(pm.energy - pn.energy)))
@@ -103,22 +91,21 @@ def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,
     return float(zeta[idx] + shift * (zeta[1] - zeta[0]))
 
 
-def representative_time(times, config: DeviceConfig,
+def representative_time(times, centers, config: DeviceConfig,
                         scales: DerivedScales) -> float:
     """The sampled time of strongest confinement.
 
-    For each sampled time, the tracked well minimum is compared with the
-    barrier crest inside the channel (|z| <= a); the time at which the well
-    sits deepest below the crest is returned.  Deterministic for a fixed
-    time sample.
+    ``centers`` holds the tracked well minimum (z/a) at each sampled time.
+    Each is compared with the barrier crest inside the channel (|z| <= a);
+    the time at which the well sits deepest below the crest is returned.
+    Deterministic for a fixed time sample.
     """
     times = np.asarray(times, dtype=float)
     crest_zeta = np.linspace(-1.0, 1.0, 2001)
     best_t = float(times[0])
     best_depth = np.inf
-    for t in times:
+    for t, zw in zip(times, centers):
         v = natural_effective_potential(config, scales, t)
-        zw = find_well_minimum(t, config, scales)
         depth = float(v(np.array([zw]))[0] - np.max(v(crest_zeta)))
         if depth < best_depth:
             best_depth = depth

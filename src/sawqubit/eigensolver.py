@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import linear_sum_assignment
 
 from .params import DeviceConfig, DerivedScales
 
@@ -26,7 +25,6 @@ NATURAL_MASS = 0.5
 RESIDUAL_TOL = 1e-8
 ORTHO_TOL = 1e-8
 NORM_TOL = 1e-10
-CONTINUITY_FLOOR = 0.5
 
 
 class SolverError(RuntimeError):
@@ -175,20 +173,6 @@ def matrix_element(bra: EigenPair, ket: EigenPair, f, grid: Grid) -> float:
     return float(np.sum(bra.wavefunction * fz * ket.wavefunction) * grid.h)
 
 
-@dataclass(frozen=True)
-class LevelTrajectory:
-    """Time-ordered eigenpairs with identities aligned by overlap."""
-
-    times: np.ndarray  # seconds
-    levels: list  # levels[i][n] = EigenPair for level n at times[i]
-    continuity_map: list  # per-step permutation applied to raw solver order
-    min_overlaps: np.ndarray  # per-level minimum consecutive overlap
-
-    def energies(self) -> np.ndarray:
-        """(n_times, n_levels) array of energies."""
-        return np.array([[p.energy for p in step] for step in self.levels])
-
-
 def natural_effective_potential(config: DeviceConfig, scales: DerivedScales,
                                 t: float):
     """Dimensionless effective potential at SI time t, as a function of z/a."""
@@ -201,52 +185,3 @@ def natural_effective_potential(config: DeviceConfig, scales: DerivedScales,
         return v0 / np.cosh(zeta) ** 2 + vs * np.cos(kn * zeta - phase)
 
     return v
-
-
-def track_levels(times, config: DeviceConfig, scales: DerivedScales,
-                 grid: Grid, count: int) -> LevelTrajectory:
-    """Solve the instantaneous spectrum at each time and align identities.
-
-    Alignment maximizes consecutive-state overlaps (optimal assignment),
-    then flips signs so every consecutive overlap is positive.
-    """
-    times = np.asarray(times, dtype=float)
-    diffs = np.diff(times)
-    if times.size < 1 or (times.size > 1
-                          and not (np.all(diffs > 0) or np.all(diffs < 0))):
-        raise ValueError("times must be nonempty and strictly monotonic")
-    levels: list[list[EigenPair]] = []
-    continuity: list[np.ndarray] = []
-    min_ov = np.full(count, np.inf)
-    prev = None
-    for t in times:
-        v = natural_effective_potential(config, scales, t)
-        H = build_hamiltonian(grid, v, NATURAL_MASS)
-        pairs = solve_lowest(H, count, grid=grid)
-        if prev is None:
-            perm = np.arange(count)
-            aligned = pairs
-            min_ov[:] = 1.0
-        else:
-            prev_mat = np.stack([p.wavefunction for p in prev])
-            cur_mat = np.stack([p.wavefunction for p in pairs])
-            overlap = prev_mat @ cur_mat.T * grid.h
-            row, col = linear_sum_assignment(-np.abs(overlap))
-            perm = col[np.argsort(row)]
-            aligned = []
-            for n in range(count):
-                p = pairs[perm[n]]
-                ov = overlap[n, perm[n]]
-                if abs(ov) < CONTINUITY_FLOOR:
-                    raise SolverError(
-                        f"level continuity lost at t={t:.3e}s for level {n}: "
-                        f"overlap {abs(ov):.3f} < {CONTINUITY_FLOOR}; "
-                        "refine the time sampling")
-                wf = -p.wavefunction if ov < 0 else p.wavefunction
-                aligned.append(EigenPair(energy=p.energy, wavefunction=wf, index=n))
-                min_ov[n] = min(min_ov[n], abs(ov))
-        levels.append(aligned)
-        continuity.append(perm)
-        prev = aligned
-    return LevelTrajectory(times=times, levels=levels,
-                           continuity_map=continuity, min_overlaps=min_ov)

@@ -13,7 +13,9 @@ import numpy as np
 
 from . import adiabatic, dynamics, twoqubit
 from .constants import PhysicalConstants, CONSTANTS
-from .eigensolver import (Grid, LevelTrajectory, build_grid, track_levels)
+from .eigensolver import (NATURAL_MASS, EigenPair, Grid, build_grid,
+                          build_hamiltonian, natural_effective_potential,
+                          solve_lowest)
 from .params import DeviceConfig, DerivedScales, derive_scales
 
 DEFAULT_N_POINTS = 4096
@@ -64,21 +66,19 @@ def dot_grid(center: float, config: DeviceConfig,
 
 def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
                      count: int = DEFAULT_N_LEVELS,
-                     n_points: int = DOT_WINDOW_POINTS) -> tuple[list, Grid]:
+                     n_points: int = DOT_WINDOW_POINTS
+                     ) -> tuple[list, Grid, float]:
     """Lowest ``count`` levels of the well nearest the barrier at SI time t.
 
-    Returns (eigenpairs, window grid).  The window walls sit on the
-    potential crests flanking the well, so deep dot levels are insensitive
-    to them.
+    Returns (eigenpairs, window grid, well center in z/a units).  The window
+    walls sit on the potential crests flanking the well, so deep dot levels
+    are insensitive to them.
     """
-    from .eigensolver import (NATURAL_MASS, build_hamiltonian,
-                              natural_effective_potential, solve_lowest)
-
     center = adiabatic.find_well_minimum(t, config, scales)
     grid = dot_grid(center, config, n_points)
     v = natural_effective_potential(config, scales, t)
     H = build_hamiltonian(grid, v, NATURAL_MASS)
-    return solve_lowest(H, count, grid=grid), grid
+    return solve_lowest(H, count, grid=grid), grid, center
 
 
 def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
@@ -86,19 +86,24 @@ def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
                      n_points: int = DOT_WINDOW_POINTS) -> "DotTrajectory":
     """Dot-level trajectory over the SAW period, sign-aligned step to step.
 
-    Consecutive windows overlap almost entirely; overlaps are evaluated by
-    interpolating the previous state onto the current window.
+    ``times`` must be nonempty and strictly monotonic.  Consecutive windows
+    overlap almost entirely; overlaps are evaluated by interpolating the
+    previous state onto the current window.
     """
-    from .eigensolver import EigenPair
-
     times = np.asarray(times, dtype=float)
+    diffs = np.diff(times)
+    if times.size < 1 or (times.size > 1
+                          and not (np.all(diffs > 0) or np.all(diffs < 0))):
+        raise ValueError("times must be nonempty and strictly monotonic")
     levels = []
     grids = []
+    centers = np.empty(times.size)
     min_ov = np.full(count, np.inf)
     prev = None
     prev_grid = None
-    for t in times:
-        pairs, grid = solve_dot_levels(t, config, scales, count, n_points)
+    for i, t in enumerate(times):
+        pairs, grid, centers[i] = solve_dot_levels(t, config, scales, count,
+                                                   n_points)
         if prev is not None:
             zc = grid.points
             for n in range(count):
@@ -119,7 +124,7 @@ def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
         prev = pairs
         prev_grid = grid
     return DotTrajectory(times=times, levels=levels, grids=grids,
-                         min_overlaps=min_ov)
+                         centers=centers, min_overlaps=min_ov)
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,7 @@ class DotTrajectory:
     times: np.ndarray
     levels: list  # levels[i][n] = EigenPair
     grids: list  # window Grid per time
+    centers: np.ndarray  # well center (z/a) per time
     min_overlaps: np.ndarray
 
     def energies(self) -> np.ndarray:
@@ -161,7 +167,7 @@ def solve_qubit(config: DeviceConfig,
     scales = derive_scales(config, constants)
     times = default_times(scales, n_times)
     traj = track_dot_levels(times, config, scales, count=n_levels)
-    t_star = adiabatic.representative_time(times, config, scales)
+    t_star = adiabatic.representative_time(times, traj.centers, config, scales)
     idx = int(np.flatnonzero(times == t_star)[0])
     pairs = traj.levels[idx]
     e0 = scales.energy_to_si(pairs[0].energy)
@@ -171,7 +177,7 @@ def solve_qubit(config: DeviceConfig,
         t_star=t_star, t_star_index=idx,
         E0=e0, E1=e1, splitting=e1 - e0,
         omega0=e0 / constants.hbar, omega1=e1 / constants.hbar,
-        well_center=adiabatic.find_well_minimum(t_star, config, scales))
+        well_center=float(traj.centers[idx]))
 
 
 def rabi_parameters(sol: QubitSolution,

@@ -40,7 +40,8 @@ class RwaDetuningWarning(UserWarning):
 
 
 class QuadraticExpansionWarning(UserWarning):
-    """Dot displacement too large for the quadratic Coulomb expansion."""
+    """Relative dot displacement too large for the quadratic Coulomb
+    expansion."""
 
 
 class NoExchangeCouplingError(ValueError):
@@ -112,12 +113,13 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     except (OverflowError, ZeroDivisionError):
         raise NoExchangeCouplingError(
             f"d={d:.3e} m: 4 pi eps0 d**3 leaves the float range") from None
-    span = max(abs(zu.z00), abs(zu.z11), abs(zl.z00), abs(zl.z11))
-    if 2.0 * span > expansion_guard * d:
+    # The expansion variable is the relative displacement z_l - z_u.
+    span = max(abs(l - u) for l in (zl.z00, zl.z11) for u in (zu.z00, zu.z11))
+    if span > expansion_guard * d:
         warnings.warn(
-            f"dot displacements (~{span:.3e} m) approach the channel "
-            f"separation d={d:.3e} m; quadratic Coulomb expansion degrades",
-            QuadraticExpansionWarning, stacklevel=2)
+            f"relative dot displacement (~{span:.3e} m) approaches the "
+            f"channel separation d={d:.3e} m; quadratic Coulomb expansion "
+            "degrades", QuadraticExpansionWarning, stacklevel=2)
     su = zu.z00 + zu.z11
     sl = zl.z00 + zl.z11
     du = zu.z11 - zu.z00

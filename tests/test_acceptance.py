@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import conftest
-from sawqubit import adiabatic, cli, pipeline, twoqubit
+from sawqubit import adiabatic, cli, pipeline
 from sawqubit.params import DeviceConfig, derive_scales
 from sawqubit.twoqubit import (PauliCoefficients, gate_time_for_iswap,
                                iswap_propagator, rwa_fidelity)
@@ -64,8 +64,7 @@ def test_a3_qubit_splitting(qubit_solution, qubit_solution_heavy):
 
 
 def _beta_summary(sol):
-    reports = adiabatic.adiabaticity_sweep(sol.trajectory.times,
-                                           sol.trajectory, sol.scales)
+    reports = adiabatic.adiabaticity_sweep(sol.trajectory, sol.scales)
     betas = np.array([r.beta for r in reports])
     return betas[sol.t_star_index], betas.max()
 
@@ -111,14 +110,14 @@ def test_a5iii_rabi_period(rabi_result, rabi_result_heavy):
            detail + " vs 0.32 ns +/-25%")
 
 
+@pytest.mark.filterwarnings(
+    "error::sawqubit.twoqubit.QuadraticExpansionWarning")
 def test_a6_coupling_ratio(tmp_path):
-    with pytest.warns(twoqubit.QuadraticExpansionWarning):
-        coeffs = pipeline.twoqubit_coefficients_from_reference(1e-6)
+    coeffs = pipeline.twoqubit_coefficients_from_reference(1e-6)
     ratio = abs(coeffs.c_zz / coeffs.c_xx)
     out = tmp_path / "out"
-    with pytest.warns(Warning):
-        assert cli.main(["twoqubit", "--fixture-paper-z",
-                         "--out", str(out)]) == 0
+    assert cli.main(["twoqubit", "--fixture-paper-z",
+                     "--out", str(out)]) == 0
     doc = json.loads((out / "twoqubit_summary.json").read_text())
     ok = (ratio < 1e-2
           and abs(ratio - RATIO_TARGET) / RATIO_TARGET <= 0.01

@@ -20,7 +20,7 @@ BETA_MAX = 0.01933975317338466
 
 
 def _dot_pair(config, scales, t, count=2):
-    pairs, grid = pipeline.solve_dot_levels(t, config, scales, count=count)
+    pairs, grid, _ = pipeline.solve_dot_levels(t, config, scales, count=count)
     return pairs, grid
 
 
@@ -94,8 +94,7 @@ def test_beta_scales_linearly_in_saw_amplitude():
 
 def test_sweep_regression(qubit_solution):
     sol = qubit_solution
-    reports = adiabaticity_sweep(sol.trajectory.times, sol.trajectory,
-                                 sol.scales)
+    reports = adiabaticity_sweep(sol.trajectory, sol.scales)
     betas = np.array([r.beta for r in reports])
     assert betas[sol.t_star_index] == pytest.approx(BETA_T_STAR, rel=1e-9)
     assert betas.max() == pytest.approx(BETA_MAX, rel=1e-9)
@@ -108,23 +107,32 @@ def test_sweep_static_all_zero():
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 8)
     traj = pipeline.track_dot_levels(times, config, scales)
-    reports = adiabaticity_sweep(times, traj, scales)
+    reports = adiabaticity_sweep(traj, scales)
     assert all(r.beta == 0.0 for r in reports)
-
-
-def test_sweep_rejects_uncovered_times(qubit_solution):
-    sol = qubit_solution
-    with pytest.raises(ValueError):
-        adiabaticity_sweep(np.array([1.0]), sol.trajectory, sol.scales)
 
 
 def test_representative_time_is_deterministic():
     config = DeviceConfig()
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 64)
-    t1 = representative_time(times, config, scales)
-    t2 = representative_time(times, config, scales)
+    centers = [find_well_minimum(t, config, scales) for t in times]
+    t1 = representative_time(times, centers, config, scales)
+    t2 = representative_time(times, centers, config, scales)
     assert t1 == t2 == pytest.approx(T_STAR, rel=1e-12)
+
+
+def test_one_well_search_per_sample(monkeypatch):
+    calls = []
+    search = adiabatic.find_well_minimum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(adiabatic, "find_well_minimum", counted)
+    sol = pipeline.solve_qubit(DeviceConfig(), n_times=8)
+    assert len(calls) == 8
+    assert sol.well_center == search(sol.t_star, sol.config, sol.scales)
 
 
 def test_well_minimum_at_representative_time():

@@ -1,11 +1,19 @@
 import filecmp
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from sawqubit import cli
 
 DATA_FILES_DERIVE = ["derived.json"]
+
+# The reference dots sit well inside the quadratic Coulomb expansion.
+NO_EXPANSION_WARNING = pytest.mark.filterwarnings(
+    "error::sawqubit.twoqubit.QuadraticExpansionWarning")
 
 
 def run(args):
@@ -115,21 +123,20 @@ def test_rabi_determinism(tmp_path):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
 
 
+@NO_EXPANSION_WARNING
 def test_twoqubit_fixture_determinism(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     args = ["twoqubit", "--fixture-paper-z"]
-    with pytest.warns(Warning):
-        assert run(args + ["--out", str(out_a)]) == 0
-    with pytest.warns(Warning):
-        assert run(args + ["--out", str(out_b)]) == 0
+    assert run(args + ["--out", str(out_a)]) == 0
+    assert run(args + ["--out", str(out_b)]) == 0
     for name in ("twoqubit_summary.json", "fidelity.csv"):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False)
 
 
+@NO_EXPANSION_WARNING
 def test_twoqubit_fixture_summary(tmp_path):
     out = tmp_path / "out"
-    with pytest.warns(Warning):
-        assert run(["twoqubit", "--fixture-paper-z", "--out", str(out)]) == 0
+    assert run(["twoqubit", "--fixture-paper-z", "--out", str(out)]) == 0
     doc = json.loads((out / "twoqubit_summary.json").read_text())
     assert doc["czz_over_cxx"] == pytest.approx(5.088108198668759e-3,
                                                 rel=1e-9)
@@ -151,14 +158,13 @@ def test_twoqubit_wide_separation(tmp_path):
     assert 0.0 <= doc["rwa_fidelity"] <= 1.0
 
 
+@NO_EXPANSION_WARNING
 def test_units_agreement(tmp_path):
     out_si, out_nat = tmp_path / "si", tmp_path / "nat"
-    with pytest.warns(Warning):
-        assert run(["twoqubit", "--fixture-paper-z", "--out", str(out_si),
-                    "--units", "si"]) == 0
-    with pytest.warns(Warning):
-        assert run(["twoqubit", "--fixture-paper-z", "--out", str(out_nat),
-                    "--units", "natural"]) == 0
+    assert run(["twoqubit", "--fixture-paper-z", "--out", str(out_si),
+                "--units", "si"]) == 0
+    assert run(["twoqubit", "--fixture-paper-z", "--out", str(out_nat),
+                "--units", "natural"]) == 0
     si = json.loads((out_si / "twoqubit_summary.json").read_text())
     nat = json.loads((out_nat / "twoqubit_summary.json").read_text())
     scales = json.loads((out_si / "manifest.json").read_text())[
@@ -193,3 +199,14 @@ def test_manifest_lists_outputs(tmp_path):
         assert (tmp_path / "out" / name.split("/")[-1]).exists()
     summary = json.loads((out / "adiabaticity_summary.json").read_text())
     assert summary["max_beta"] < 1.0
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, sawqubit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -6,8 +6,7 @@ from scipy.optimize import linear_sum_assignment
 
 from sawqubit import oracles, pipeline
 from sawqubit.eigensolver import (NATURAL_MASS, build_grid, build_hamiltonian,
-                                  classify_bound, matrix_element, solve_lowest,
-                                  track_levels)
+                                  classify_bound, matrix_element, solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
 ORTHO_TOL = 1e-8
@@ -170,9 +169,8 @@ def test_matrix_element_grid_mismatch():
 def test_track_static_potential():
     config = DeviceConfig(gamma=0.0)
     scales = derive_scales(config)
-    grid = build_grid(-4.0, 4.0, 512)
     times = pipeline.default_times(scales, 64)[:6]
-    traj = track_levels(times, config, scales, grid, 3)
+    traj = pipeline.track_dot_levels(times, config, scales, count=3)
     np.testing.assert_allclose(traj.min_overlaps, 1.0, atol=1e-10)
     energies = traj.energies()
     assert np.ptp(energies, axis=0).max() < 1e-10
@@ -181,20 +179,20 @@ def test_track_static_potential():
 def test_track_weak_saw_continuity_and_reversal():
     config = DeviceConfig(gamma=0.05)
     scales = derive_scales(config)
-    grid = build_grid(-4.0, 4.0, 1024)
     times = pipeline.default_times(scales, 64)[:8]
-    fwd = track_levels(times, config, scales, grid, 2)
+    fwd = pipeline.track_dot_levels(times, config, scales)
     assert fwd.min_overlaps.min() > 0.99
-    rev = track_levels(times[::-1], config, scales, grid, 2)
+    rev = pipeline.track_dot_levels(times[::-1], config, scales)
     np.testing.assert_array_equal(fwd.energies(), rev.energies()[::-1])
 
 
 def test_track_rejects_unordered_times():
     config = DeviceConfig()
     scales = derive_scales(config)
-    grid = build_grid(-4.0, 4.0, 256)
-    with pytest.raises(ValueError):
-        track_levels(np.array([0.0, 2e-12, 1e-12]), config, scales, grid, 1)
+    for times in ([0.0, 2e-12, 1e-12], [1e-12, 1e-12], []):
+        with pytest.raises(ValueError):
+            pipeline.track_dot_levels(np.array(times), config, scales,
+                                      count=1)
 
 
 def test_dot_trajectory_continuity(qubit_solution):

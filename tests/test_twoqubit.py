@@ -24,10 +24,14 @@ RATIO_ZZ_XX = 0.005088108198668759
 C_XX_REFERENCE = -7.369704578814214e-25  # J
 GATE_TIME_REFERENCE = 2.2477394022645526e-10  # s
 
+# The reference and solved dots sit well inside the quadratic Coulomb
+# expansion: the guard must stay silent for them.
+pytestmark = pytest.mark.filterwarnings(
+    "error::sawqubit.twoqubit.QuadraticExpansionWarning")
+
 
 def _reference_coeffs(d=1e-6):
-    with pytest.warns(QuadraticExpansionWarning):
-        return pipeline.twoqubit_coefficients_from_reference(d)
+    return pipeline.twoqubit_coefficients_from_reference(d)
 
 
 def _synthetic_coeffs(c_xx, lam):
@@ -86,10 +90,14 @@ def test_dot_swap_symmetry():
     assert ab.c_xx == ba.c_xx
 
 
-def test_expansion_guard_warns_on_wide_dots():
-    z = ZMatrixElements(z00=-4e-7, z11=-4.1e-7, z01=-5e-8)
+def test_expansion_guard_warns_on_wide_dots(qubit_solution):
+    zu = ZMatrixElements(z00=-4e-7, z11=-4.1e-7, z01=-5e-8)
+    zl = ZMatrixElements(z00=4e-7, z11=4.1e-7, z01=-5e-8)
     with pytest.warns(QuadraticExpansionWarning):
-        coulomb_pauli_coefficients(z, z, 1e-6)
+        coulomb_pauli_coefficients(zu, zl, 1e-6)
+    # far from the channel center, but no relative displacement
+    coulomb_pauli_coefficients(zu, zu, 1e-6)
+    pipeline.twoqubit_coefficients_from_solution(qubit_solution, 1e-6)
 
 
 def test_rejects_nonpositive_separation():
