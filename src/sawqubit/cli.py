@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__, adiabatic, dynamics, oracles, pipeline, twoqubit
 from .constants import CONSTANTS
-from .eigensolver import SolverError, build_hamiltonian, \
-    natural_effective_potential, NATURAL_MASS, solve_lowest, classify_bound
+from .eigensolver import SolverError, classify_bound, \
+    natural_effective_potential
 from .params import ConfigError, DeviceConfig, derive_scales, load_config, \
     thermal_ratio
 
@@ -38,21 +38,36 @@ NUMERICAL_ERRORS = (SolverError, dynamics.StepSizeError,
 
 # CSV: comma-separated, '.' decimal, 17 significant digits.
 _FMT = "%.16e"
+# Rows formatted and written at a time; bounds the text held in memory.
+CSV_BLOCK_ROWS = 1024
 
 MAX_TRAJECTORY_ROWS = 4001
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _FMT % value
+def _format_column(values: np.ndarray) -> list[str]:
+    """One CSV cell per value: %d for integer or bool dtypes, else %.16e."""
+    fmt = "%d\n" if values.dtype.kind in "biu" else _FMT + "\n"
+    return (fmt * values.size % tuple(values.tolist())).split("\n")[:-1]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write equal-length columns under a header row.
+
+    A column is a 1-D numpy array, formatted here block by block, or a
+    list of cells already formatted by ``_format_column`` (to share one
+    column between files).
+    """
+    n_rows = len(columns[0])
+    if any(len(col) != n_rows for col in columns):
+        raise ValueError("CSV columns differ in length")
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = slice(start, start + CSV_BLOCK_ROWS)
+            cells = [_format_column(col[block])
+                     if isinstance(col, np.ndarray) else col[block]
+                     for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -97,7 +112,7 @@ def _finish(out_dir: str, subcommand: str, config: DeviceConfig, scales,
         "config": config.as_file_dict(),
         "derived_scales": scales.as_dict(),
         "outputs": sorted(outputs),
-        "wall_time_s": time.time() - t_start,
+        "wall_time_s": time.perf_counter() - t_start,
     }
     _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
@@ -109,7 +124,7 @@ def _load(args) -> DeviceConfig:
 
 
 def cmd_derive(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     config = _load(args)
     scales = derive_scales(config, CONSTANTS)
     check = thermal_ratio(config, pipeline.REFERENCE_QUBIT_SPLITTING, CONSTANTS)
@@ -164,7 +179,7 @@ def _positive_ns(flag: str, value_ns):
 
 
 def cmd_levels(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     config = _load(args)
     scales = derive_scales(config, CONSTANTS)
     if not 1 <= args.levels <= pipeline.DOT_WINDOW_POINTS:
@@ -179,36 +194,36 @@ def cmd_levels(args) -> int:
     outputs = []
     well_width = config.saw_wavelength / config.a  # natural units
     level_rows = []
-    global_grid = pipeline.default_grid(config)
+    # every potential file shares the full-domain z column: format it once
+    zeta = pipeline.default_grid(config).points
+    pot_z = _format_column(u.val(zeta * scales.natural_length, "m"))
     for i, t in enumerate(times):
         pairs, grid, center = pipeline.solve_dot_levels(t, config, scales,
                                                         count=args.levels)
         v = natural_effective_potential(config, scales, t)
         # potential curve over the full domain
-        zeta = global_grid.points
         pot_path = os.path.join(args.out, f"potential_{i:02d}.csv")
         _write_csv(pot_path,
                    [u.col("z", "m"), u.col("energy", "J")],
-                   zip(u.val(zeta * scales.natural_length, "m"),
-                       u.val(v(zeta) * scales.natural_energy, "J")))
+                   [pot_z, u.val(v(zeta) * scales.natural_energy, "J")])
         outputs.append(pot_path)
         # wavefunctions on the dot window
         wf_path = os.path.join(args.out, f"wavefunctions_{i:02d}.csv")
         header = [u.col("z", "m")] + [f"psi_{n}" for n in range(args.levels)]
         cols = [u.val(grid.points * scales.natural_length, "m")]
         cols += [p.wavefunction for p in pairs]
-        _write_csv(wf_path, header, zip(*cols))
+        _write_csv(wf_path, header, cols)
         outputs.append(wf_path)
         for n, p in enumerate(pairs):
             cls = classify_bound(p, grid, center, well_width)
             level_rows.append((u.val(t, "s"), n,
                                u.val(scales.energy_to_si(p.energy), "J"),
-                               int(cls.bound), cls.mass_fraction))
+                               cls.bound, cls.mass_fraction))
     lv_path = os.path.join(args.out, "levels.csv")
     _write_csv(lv_path,
                [u.col("t", "s"), "level_index", u.col("energy", "J"),
                 "bound_flag", "mass_fraction"],
-               level_rows)
+               [np.array(col) for col in zip(*level_rows)])
     outputs.append(lv_path)
     print(f"{len(times)} times x {args.levels} levels -> {lv_path}")
     _finish(args.out, "levels", config, scales, outputs, t_start)
@@ -216,7 +231,7 @@ def cmd_levels(args) -> int:
 
 
 def cmd_adiabaticity(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     config = _load(args)
     sol = pipeline.solve_qubit(config, CONSTANTS)
     scales = sol.scales
@@ -224,16 +239,14 @@ def cmd_adiabaticity(args) -> int:
     reports = adiabatic.adiabaticity_sweep(sol.trajectory, scales)
     os.makedirs(args.out, exist_ok=True)
     energies = scales.energy_to_si(sol.trajectory.energies())
-    rows = [(u.val(r.time, "s"), r.beta,
-             u.val(energies[i, 0], "J"), u.val(energies[i, 1], "J"),
-             u.val(r.splitting, "J"))
-            for i, r in enumerate(reports)]
+    betas = np.array([r.beta for r in reports])
     csv_path = os.path.join(args.out, "beta.csv")
     _write_csv(csv_path,
                [u.col("t", "s"), "beta", u.col("E0", "J"), u.col("E1", "J"),
                 u.col("splitting", "J")],
-               rows)
-    betas = np.array([r.beta for r in reports])
+               [u.val(sol.trajectory.times, "s"), betas,
+                u.val(energies[:, 0], "J"), u.val(energies[:, 1], "J"),
+                u.val(np.array([r.splitting for r in reports]), "J")])
     beta_star = reports[sol.t_star_index].beta
     summary = {
         "t_star": u.val(sol.t_star, "s"),
@@ -255,7 +268,7 @@ def cmd_adiabaticity(args) -> int:
 
 
 def cmd_rabi(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     config = _load(args)
     duration = _positive_ns("--duration", args.duration)
     sol = pipeline.solve_qubit(config, CONSTANTS)
@@ -270,10 +283,10 @@ def cmd_rabi(args) -> int:
     _write_csv(csv_path,
                [u.col("t", "s"), "re_c0", "im_c0", "re_c1", "im_c1",
                 "p0", "p1"],
-               zip(u.val(traj.times[sel], "s"),
-                   traj.c0[sel].real, traj.c0[sel].imag,
-                   traj.c1[sel].real, traj.c1[sel].imag,
-                   traj.p0[sel], traj.p1[sel]))
+               [u.val(traj.times[sel], "s"),
+                traj.c0[sel].real, traj.c0[sel].imag,
+                traj.c1[sel].real, traj.c1[sel].imag,
+                traj.p0[sel], traj.p1[sel]])
     summary = {
         "rabi_period": u.val(result.period.period, "s"),
         "rabi_period_method": result.period.method,
@@ -297,7 +310,7 @@ PUBLISHED_ZZ_OVER_XX = 1.3e-3
 
 
 def cmd_twoqubit(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     config = _load(args)
     d = args.d if args.d is not None else config.channel_separation
     if not (math.isfinite(d) and d > 0):
@@ -322,7 +335,7 @@ def cmd_twoqubit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "fidelity.csv")
     _write_csv(csv_path, [u.col("t", "s"), "fidelity"],
-               zip(u.val(sweep_times, "s"), fids[:-1]))
+               [u.val(sweep_times, "s"), fids[:-1]])
     rwa_fid = float(fids[-1])
     summary = {
         "d_m": d,
@@ -355,22 +368,17 @@ def cmd_twoqubit(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    t_start = time.time()
+    t_start = time.perf_counter()
     config = DeviceConfig()
     scales = derive_scales(config, CONSTANTS)
     results = oracles.run_all()
     report = {r.name: {"passed": r.passed, **r.measured} for r in results}
-    # Splitting report for both candidate effective-mass settings; the
-    # natural-unit spectrum is mass independent, so it is solved once and
-    # only its SI scaling differs between the masses.
+    # Splitting report for both candidate effective-mass settings, from
+    # one natural-unit solve (the spectrum is mass independent).
     sol = pipeline.solve_qubit(config, CONSTANTS)
-    pairs = sol.trajectory.levels[sol.t_star_index]
     masses = {}
     for ratio in (0.0067, 0.067):
-        mass_scales = derive_scales(DeviceConfig(effective_mass_ratio=ratio),
-                                    CONSTANTS)
-        splitting = (mass_scales.energy_to_si(pairs[1].energy)
-                     - mass_scales.energy_to_si(pairs[0].energy))
+        splitting = pipeline.rescale_solution(sol, ratio).splitting
         masses[f"splitting_J_mass_{ratio}"] = splitting
         masses[f"splitting_over_reference_mass_{ratio}"] = (
             splitting / pipeline.REFERENCE_QUBIT_SPLITTING)

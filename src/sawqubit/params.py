@@ -22,6 +22,10 @@ class ConfigError(ValueError):
         super().__init__(f"{fieldname}: {message}")
 
 
+# Upper bound on the SAW velocity, ~10x the fastest known SAW substrates;
+# beta grows in proportion to the velocity, so larger values are absurd.
+MAX_SAW_VELOCITY_MPS = 1e5
+
 # Mapping between config-file keys and DeviceConfig attributes.
 CONFIG_FILE_KEYS = {
     "a_m": "a",
@@ -70,6 +74,9 @@ class DeviceConfig:
         for name in ("gamma", "drive_ratio", "temperature"):
             if not (getattr(self, name) >= 0):
                 raise ConfigError(name, "must be >= 0")
+        if self.saw_velocity > MAX_SAW_VELOCITY_MPS:
+            raise ConfigError("saw_velocity",
+                              f"must be <= {MAX_SAW_VELOCITY_MPS:g} m/s")
 
     def as_file_dict(self) -> dict:
         """Config echoed in file-key form (all keys, no hidden defaults)."""

@@ -7,7 +7,7 @@ evaluated there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,15 +169,40 @@ def solve_qubit(config: DeviceConfig,
     traj = track_dot_levels(times, config, scales, count=n_levels)
     t_star = adiabatic.representative_time(times, traj.centers, config, scales)
     idx = int(np.flatnonzero(times == t_star)[0])
-    pairs = traj.levels[idx]
-    e0 = scales.energy_to_si(pairs[0].energy)
-    e1 = scales.energy_to_si(pairs[1].energy)
     return QubitSolution(
         config=config, scales=scales, grid=traj.grids[idx], trajectory=traj,
         t_star=t_star, t_star_index=idx,
-        E0=e0, E1=e1, splitting=e1 - e0,
-        omega0=e0 / constants.hbar, omega1=e1 / constants.hbar,
+        **_si_levels(traj.levels[idx], scales, constants),
         well_center=float(traj.centers[idx]))
+
+
+def _si_levels(pairs, scales: DerivedScales,
+               constants: PhysicalConstants) -> dict:
+    """The QubitSolution fields E0, E1, splitting, omega0 and omega1."""
+    e0 = scales.energy_to_si(pairs[0].energy)
+    e1 = scales.energy_to_si(pairs[1].energy)
+    return {"E0": e0, "E1": e1, "splitting": e1 - e0,
+            "omega0": e0 / constants.hbar, "omega1": e1 / constants.hbar}
+
+
+def rescale_solution(sol: QubitSolution, effective_mass_ratio: float,
+                     constants: PhysicalConstants = CONSTANTS) -> QubitSolution:
+    """The solution for another effective mass, without solving again.
+
+    The mass enters only the SI scales: the natural-unit problem, and so
+    the trajectory, t* and the dot window, are shared.  Raises ValueError
+    unless the natural parameters of both masses agree bit for bit.
+    """
+    config = replace(sol.config, effective_mass_ratio=effective_mass_ratio)
+    scales = derive_scales(config, constants)
+    natural = ("V0_nat", "V_S_nat", "k_nat")
+    if any(getattr(scales, name) != getattr(sol.scales, name)
+           for name in natural):
+        raise ValueError("the natural-unit problem depends on the mass here; "
+                         "solve it again instead")
+    return replace(sol, config=config, scales=scales,
+                   **_si_levels(sol.trajectory.levels[sol.t_star_index],
+                                scales, constants))
 
 
 def rabi_parameters(sol: QubitSolution,

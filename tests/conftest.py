@@ -27,9 +27,9 @@ def qubit_solution():
 
 
 @pytest.fixture(scope="session")
-def qubit_solution_heavy():
-    """Alternative effective mass ratio 0.067."""
-    return pipeline.solve_qubit(DeviceConfig(effective_mass_ratio=0.067))
+def qubit_solution_heavy(qubit_solution):
+    """Alternative effective mass ratio 0.067 (the same natural-unit solve)."""
+    return pipeline.rescale_solution(qubit_solution, 0.067)
 
 
 @pytest.fixture(scope="session")

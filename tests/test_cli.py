@@ -1,10 +1,12 @@
 import filecmp
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sawqubit import cli
@@ -46,6 +48,7 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     for args, config, culprit in (
             (["derive"], {"gamma": -1.0}, "gamma"),
             (["derive"], {"a_m": float("inf")}, "a:"),
+            (["adiabaticity"], {"saw_velocity_mps": 1e30}, "saw_velocity"),
             (["twoqubit"], {"channel_separation_m": float("inf")},
              "channel_separation"),
             (["rabi", "--duration", "-1"], {}, "--duration"),
@@ -189,6 +192,50 @@ def test_csv_format(tmp_path):
     assert len(first) == 5
     # 17 significant digits, scientific notation
     assert "e" in first[0] and len(first[0].split("e")[0].rstrip("0")) >= 3
+
+
+def _per_value_csv(header, rows) -> str:
+    """Text of the per-value writer that the column writer replaced."""
+    def fmt(value):
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return "%.16e" % value
+    return ",".join(header) + "\n" + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in rows)
+
+
+CSV_FLOATS = [0.0, -0.0, 1.0, -1.5, math.pi, 2.5e-7, -3.3e-23, 1e22, 5e-324,
+              1e300, -1e300, 1e-300, float("nan"), float("inf"),
+              float("-inf")]
+
+
+def test_csv_writer_matches_per_value_formatter(tmp_path):
+    path = tmp_path / "out.csv"
+    block = cli.CSV_BLOCK_ROWS
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 5):
+        floats = np.resize(np.array(CSV_FLOATS), n)
+        ints = np.arange(n, dtype=np.int64) * 7919 - 3
+        big = [(-1) ** i * (2 ** 62 + i) for i in range(n)]  # Python ints
+        flags = np.arange(n) % 3 == 0
+        header = ["t_s", "level_index", "big", "bound_flag", "fraction"]
+        cli._write_csv(str(path), header,
+                       [floats, ints, np.array(big), flags, floats[::-1]])
+        # the old callers passed flags as int(bool) and ints as Python ints
+        rows = zip(floats, ints, big, [int(f) for f in flags], floats[::-1])
+        assert path.read_text() == _per_value_csv(header, rows), n
+        # a single-column file
+        cli._write_csv(str(path), ["x"], [floats])
+        assert path.read_text() == _per_value_csv(["x"],
+                                                  [(v,) for v in floats]), n
+    # one pre-formatted column shared by two files
+    z = np.linspace(-2e-6, 2e-6, block + 7)
+    z_text = cli._format_column(z)
+    for values in (np.cos(z * 1e6), np.arange(z.size)):
+        cli._write_csv(str(path), ["z_m", "v"], [z_text, values])
+        assert path.read_text() == _per_value_csv(["z_m", "v"],
+                                                  zip(z, values))
+    with pytest.raises(ValueError):
+        cli._write_csv(str(path), ["a", "b"], [z, z[:-1]])
 
 
 def test_manifest_lists_outputs(tmp_path):

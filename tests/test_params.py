@@ -4,8 +4,9 @@ import math
 import pytest
 
 from sawqubit.constants import CONSTANTS
-from sawqubit.params import (ConfigError, DeviceConfig, derive_scales,
-                             load_config, thermal_ratio)
+from sawqubit.params import (MAX_SAW_VELOCITY_MPS, ConfigError,
+                             DeviceConfig, derive_scales, load_config,
+                             thermal_ratio)
 
 REL_TOL = 1e-12
 
@@ -84,6 +85,14 @@ def test_invalid_fields_name_the_culprit():
         DeviceConfig(channel_separation=math.inf)
     with pytest.raises(ConfigError, match="drive_ratio"):
         DeviceConfig(drive_ratio=math.nan)
+
+
+def test_saw_velocity_upper_bound():
+    assert DeviceConfig(saw_velocity=MAX_SAW_VELOCITY_MPS).saw_velocity == \
+        MAX_SAW_VELOCITY_MPS
+    for velocity in (1.0001 * MAX_SAW_VELOCITY_MPS, 1e30):
+        with pytest.raises(ConfigError, match="^saw_velocity: must be <="):
+            DeviceConfig(saw_velocity=velocity)
 
 
 def test_thermal_check():
