@@ -92,22 +92,22 @@ def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,
 
 
 def representative_time(times, centers, config: DeviceConfig,
-                        scales: DerivedScales) -> float:
-    """The sampled time of strongest confinement.
+                        scales: DerivedScales) -> int:
+    """Index of the sampled time of strongest confinement.
 
     ``centers`` holds the tracked well minimum (z/a) at each sampled time.
     Each is compared with the barrier crest inside the channel (|z| <= a);
-    the time at which the well sits deepest below the crest is returned.
-    Deterministic for a fixed time sample.
+    the index of the time at which the well sits deepest below the crest
+    is returned (the first one on a tie).  Deterministic for a fixed time
+    sample.
     """
-    times = np.asarray(times, dtype=float)
     crest_zeta = np.linspace(-1.0, 1.0, 2001)
-    best_t = float(times[0])
+    best = 0
     best_depth = np.inf
-    for t, zw in zip(times, centers):
+    for i, (t, zw) in enumerate(zip(times, centers)):
         v = natural_effective_potential(config, scales, t)
         depth = float(v(np.array([zw]))[0] - np.max(v(crest_zeta)))
         if depth < best_depth:
             best_depth = depth
-            best_t = float(t)
-    return best_t
+            best = i
+    return best

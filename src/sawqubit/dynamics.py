@@ -223,6 +223,11 @@ def extract_rabi_period(traj: RabiTrajectory, min_peak: float = 0.05,
     p1 = traj.p1
     method = "double_first_peak_quadratic"
     if smooth_window is not None and smooth_window > 1:
+        if smooth_window > p1.size:
+            raise NoOscillationError(
+                f"smoothing window of {smooth_window} samples exceeds the "
+                f"{p1.size}-sample trajectory: it spans less than one drive "
+                f"period")
         kernel = np.ones(smooth_window) / smooth_window
         p1 = np.convolve(p1, kernel, mode="same")
         method = "double_first_peak_quadratic_smoothed"

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .params import DeviceConfig, DerivedScales
 
@@ -121,6 +120,10 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int,
     Normalization uses the grid spacing ``h`` (taken from ``grid`` if given,
     else 1), so that sum |psi_i|^2 h = 1.
     """
+    # imported here: scipy.linalg costs every process ~0.2-0.3 s to load,
+    # and most subcommands never solve
+    from scipy.linalg import eigh_tridiagonal
+
     n = H.n
     if not (1 <= count <= n):
         raise ValueError(f"count must be in [1, {n}], got {count}")

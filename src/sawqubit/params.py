@@ -100,7 +100,10 @@ def load_config(path: str) -> DeviceConfig:
             raise ConfigError(key, "unknown configuration key")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(key, "value must be a number")
-        kwargs[CONFIG_FILE_KEYS[key]] = float(value)
+        try:
+            kwargs[CONFIG_FILE_KEYS[key]] = float(value)
+        except OverflowError:
+            raise ConfigError(key, "integer out of the float range") from None
     return DeviceConfig(**kwargs)
 
 
@@ -163,28 +166,60 @@ class DerivedScales:
         return asdict(self)
 
 
+def _scale(name: str, attr: str, source: float, compute) -> float:
+    """``compute()``, rejected unless it is a finite float that is zero only
+    when the config value ``source`` of ``attr`` is."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value) or (value == 0) != (source == 0):
+        raise ConfigError(attr, f"{source!r} takes the derived {name} out "
+                                 f"of the float range ({value!r})")
+    return value
+
+
 def derive_scales(config: DeviceConfig,
                   constants: PhysicalConstants = CONSTANTS) -> DerivedScales:
     """Compute all derived scalar quantities from a validated config.
 
     Pure and deterministic: identical inputs give bit-identical outputs.
+    Raises ConfigError if a finite config value takes a derived scale, or
+    a natural-unit parameter, to inf, or to 0 from a nonzero value.  The
+    scales are checked in order, so the field named is the last one to
+    enter the scale that fails.
     """
     config.validate()
     hbar = constants.hbar
-    m_star = config.effective_mass_ratio * constants.electron_mass
-    V0 = hbar**2 / (2.0 * m_star * config.l0**2)
-    V_S = config.gamma * V0
-    k = 2.0 * math.pi / config.saw_wavelength
-    omega_saw = config.saw_velocity * k
-    T_period = config.saw_wavelength / config.saw_velocity
+    m_star = _scale("m_star", "effective_mass_ratio",
+                    config.effective_mass_ratio,
+                    lambda: config.effective_mass_ratio
+                    * constants.electron_mass)
     natural_length = config.a
-    natural_energy = hbar**2 / (2.0 * m_star * config.a**2)
-    natural_time = hbar / natural_energy
-    return DerivedScales(
+    natural_energy = _scale("natural_energy", "a", config.a, lambda: (
+        hbar**2 / (2.0 * m_star * config.a**2)))
+    natural_time = _scale("natural_time", "a", config.a,
+                          lambda: hbar / natural_energy)
+    V0 = _scale("V0", "l0", config.l0,
+                lambda: hbar**2 / (2.0 * m_star * config.l0**2))
+    V_S = _scale("V_S", "gamma", config.gamma, lambda: config.gamma * V0)
+    k = _scale("k", "saw_wavelength", config.saw_wavelength,
+               lambda: 2.0 * math.pi / config.saw_wavelength)
+    omega_saw = _scale("omega_saw", "saw_velocity", config.saw_velocity,
+                       lambda: config.saw_velocity * k)
+    T_period = _scale("T_period", "saw_velocity", config.saw_velocity,
+                      lambda: config.saw_wavelength / config.saw_velocity)
+    scales = DerivedScales(
         V0=V0, V_S=V_S, k=k, omega_saw=omega_saw, T_period=T_period,
         m_star=m_star, natural_length=natural_length,
         natural_energy=natural_energy, natural_time=natural_time,
     )
+    for name, attr in (("V0_nat", "l0"), ("V_S_nat", "gamma"),
+                       ("k_nat", "saw_wavelength"),
+                       ("omega_saw_nat", "saw_velocity")):
+        _scale(name, attr, getattr(config, attr),
+               lambda: getattr(scales, name))
+    return scales
 
 
 @dataclass(frozen=True)

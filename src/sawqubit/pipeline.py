@@ -75,10 +75,18 @@ def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
     are insensitive to them.
     """
     center = adiabatic.find_well_minimum(t, config, scales)
+    return (*_solve_window(t, center, config, scales, count, n_points),
+            center)
+
+
+def _solve_window(t: float, center: float, config: DeviceConfig,
+                  scales: DerivedScales, count: int,
+                  n_points: int) -> tuple[list, Grid]:
+    """Lowest ``count`` levels on the dot window around ``center``."""
     grid = dot_grid(center, config, n_points)
     v = natural_effective_potential(config, scales, t)
     H = build_hamiltonian(grid, v, NATURAL_MASS)
-    return solve_lowest(H, count, grid=grid), grid, center
+    return solve_lowest(H, count, grid=grid), grid
 
 
 def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
@@ -86,43 +94,45 @@ def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
                      n_points: int = DOT_WINDOW_POINTS) -> "DotTrajectory":
     """Dot-level trajectory over the SAW period, sign-aligned step to step.
 
-    ``times`` must be nonempty and strictly monotonic.  Consecutive windows
-    overlap almost entirely; overlaps are evaluated by interpolating the
-    previous state onto the current window.
+    ``times`` must be nonempty and strictly monotonic.  Every sample is
+    solved; ``solve_qubit`` solves only half of its period.
     """
     times = np.asarray(times, dtype=float)
     diffs = np.diff(times)
     if times.size < 1 or (times.size > 1
                           and not (np.all(diffs > 0) or np.all(diffs < 0))):
         raise ValueError("times must be nonempty and strictly monotonic")
-    levels = []
-    grids = []
-    centers = np.empty(times.size)
-    min_ov = np.full(count, np.inf)
-    prev = None
-    prev_grid = None
-    for i, t in enumerate(times):
-        pairs, grid, centers[i] = solve_dot_levels(t, config, scales, count,
-                                                   n_points)
-        if prev is not None:
-            zc = grid.points
-            for n in range(count):
-                prev_on_cur = np.interp(zc, prev_grid.points,
-                                        prev[n].wavefunction,
-                                        left=0.0, right=0.0)
-                ov = float(np.sum(prev_on_cur * pairs[n].wavefunction) * grid.h)
-                if ov < 0:
-                    pairs[n] = EigenPair(energy=pairs[n].energy,
-                                         wavefunction=-pairs[n].wavefunction,
-                                         index=n)
-                    ov = -ov
-                min_ov[n] = min(min_ov[n], ov)
-        else:
-            min_ov[:] = 1.0
-        levels.append(pairs)
-        grids.append(grid)
-        prev = pairs
-        prev_grid = grid
+    levels, grids, centers = zip(*(
+        solve_dot_levels(t, config, scales, count, n_points) for t in times))
+    return _aligned_trajectory(times, list(levels), list(grids),
+                               np.array(centers))
+
+
+def _aligned_trajectory(times: np.ndarray, levels: list, grids: list,
+                        centers: np.ndarray) -> "DotTrajectory":
+    """Sign-align each level to the previous sample, in time order.
+
+    Consecutive windows overlap almost entirely; overlaps are evaluated by
+    interpolating the previous state onto the current window.  ``levels``
+    is aligned in place.
+    """
+    count = len(levels[0])
+    min_ov = np.ones(count)
+    for i in range(1, len(levels)):
+        prev, prev_grid = levels[i - 1], grids[i - 1]
+        pairs, grid = levels[i], grids[i]
+        zc = grid.points
+        for n in range(count):
+            prev_on_cur = np.interp(zc, prev_grid.points,
+                                    prev[n].wavefunction,
+                                    left=0.0, right=0.0)
+            ov = float(np.sum(prev_on_cur * pairs[n].wavefunction) * grid.h)
+            if ov < 0:
+                pairs[n] = EigenPair(energy=pairs[n].energy,
+                                     wavefunction=-pairs[n].wavefunction,
+                                     index=n)
+                ov = -ov
+            min_ov[n] = min(min_ov[n], ov)
     return DotTrajectory(times=times, levels=levels, grids=grids,
                          centers=centers, min_overlaps=min_ov)
 
@@ -163,15 +173,36 @@ def solve_qubit(config: DeviceConfig,
                 constants: PhysicalConstants = CONSTANTS,
                 n_times: int = DEFAULT_N_TIMES,
                 n_levels: int = 2) -> QubitSolution:
-    """Track the dot levels over a SAW period and evaluate them at t*."""
+    """Track the dot levels over a SAW period and evaluate them at t*.
+
+    The potential obeys V(z, T - t) = V(-z, t): the barrier is even and
+    omega T = 2 pi.  The midpoint samples pair up as t_{n-1-i} = T - t_i,
+    so only the half of the period holding t* is solved; each sample of
+    the other half takes the mirror image (z -> -z) of its partner.
+    """
     scales = derive_scales(config, constants)
     times = default_times(scales, n_times)
-    traj = track_dot_levels(times, config, scales, count=n_levels)
-    t_star = adiabatic.representative_time(times, traj.centers, config, scales)
-    idx = int(np.flatnonzero(times == t_star)[0])
+    centers = np.array([adiabatic.find_well_minimum(t, config, scales)
+                        for t in times])
+    idx = adiabatic.representative_time(times, centers, config, scales)
+    n = times.size
+    solved = range(n // 2, n) if idx >= n // 2 else range((n + 1) // 2)
+    levels, grids = [None] * n, [None] * n
+    for i in solved:
+        levels[i], grids[i] = _solve_window(times[i], centers[i], config,
+                                            scales, n_levels,
+                                            DOT_WINDOW_POINTS)
+    for i in range(n):
+        if levels[i] is None:
+            pairs, grid = levels[n - 1 - i], grids[n - 1 - i]
+            levels[i] = [EigenPair(energy=p.energy,
+                                   wavefunction=p.wavefunction[::-1],
+                                   index=p.index) for p in pairs]
+            grids[i] = Grid(-grid.z_max, -grid.z_min, grid.n_points)
+    traj = _aligned_trajectory(times, levels, grids, centers)
     return QubitSolution(
         config=config, scales=scales, grid=traj.grids[idx], trajectory=traj,
-        t_star=t_star, t_star_index=idx,
+        t_star=float(times[idx]), t_star_index=idx,
         **_si_levels(traj.levels[idx], scales, constants),
         well_center=float(traj.centers[idx]))
 

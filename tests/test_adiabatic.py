@@ -116,9 +116,10 @@ def test_representative_time_is_deterministic():
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 64)
     centers = [find_well_minimum(t, config, scales) for t in times]
-    t1 = representative_time(times, centers, config, scales)
-    t2 = representative_time(times, centers, config, scales)
-    assert t1 == t2 == pytest.approx(T_STAR, rel=1e-12)
+    i1 = representative_time(times, centers, config, scales)
+    i2 = representative_time(times, centers, config, scales)
+    assert i1 == i2
+    assert times[i1] == pytest.approx(T_STAR, rel=1e-12)
 
 
 def test_one_well_search_per_sample(monkeypatch):

@@ -8,8 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sawqubit import cli
+from sawqubit.params import CONFIG_FILE_KEYS
 
 DATA_FILES_DERIVE = ["derived.json"]
 
@@ -48,6 +51,11 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     for args, config, culprit in (
             (["derive"], {"gamma": -1.0}, "gamma"),
             (["derive"], {"a_m": float("inf")}, "a:"),
+            # finite, but l0**2 overflows and a**2 underflows
+            (["derive"], {"l0_m": 1e300}, "l0:"),
+            (["derive"], {"a_m": 1e-300}, "a:"),
+            # a JSON integer too large for a float
+            (["derive"], {"a_m": 10 ** 400}, "a_m:"),
             (["adiabaticity"], {"saw_velocity_mps": 1e30}, "saw_velocity"),
             (["twoqubit"], {"channel_separation_m": float("inf")},
              "channel_separation"),
@@ -77,6 +85,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     for args, config, culprit in (
             # far too short a span for any population turnover
             (["rabi", "--duration", "0.0005"], {}, "numerical failure"),
+            # one RK4 step: a drive period would be a 2e9-sample window
+            (["rabi", "--duration", "1e-12"], {}, "smoothing window"),
             # no drive coupling, so no flip period to integrate to
             (["rabi"], {"drive_ratio": 0.0}, "D01 is zero"),
             # a 1 s span needs more than the 1e8 RK4 steps allowed
@@ -249,11 +259,46 @@ def test_manifest_lists_outputs(tmp_path):
 
 
 def test_import_leaves_scipy_optimize_unloaded():
+    """Neither scipy.optimize nor scipy.linalg loads with the CLI; the
+    eigensolver imports scipy.linalg on its first solve."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, sawqubit.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, sawqubit.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.linalg') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+EXTREME_NUMBERS = (1e300, -1e300, 1e-300, -1e-300, 0.0, 10 ** 400,
+                   float("nan"), float("inf"), float("-inf"))
+CONFIG_VALUES = st.one_of(
+    st.sampled_from(EXTREME_NUMBERS), st.floats(), st.integers(),
+    st.booleans(), st.none(), st.text(max_size=3),
+    st.lists(st.floats(), max_size=2))
+FLAT_CONFIGS = st.dictionaries(
+    st.one_of(st.sampled_from(sorted(CONFIG_FILE_KEYS)), st.text(max_size=4)),
+    CONFIG_VALUES, max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=FLAT_CONFIGS,
+       d=st.one_of(st.none(), st.sampled_from(EXTREME_NUMBERS), st.floats()),
+       fixture=st.booleans())
+@example(config={"l0_m": 1e300}, d=None, fixture=False)
+@example(config={"a_m": 1e-300}, d=None, fixture=False)
+def test_exit_code_contract(tmp_path_factory, config, d, fixture):
+    """Any flat JSON config, with an optional --d, exits in {0, 2, 3, 4}
+    from ``derive`` and ``twoqubit --fixture-paper-z`` without raising;
+    neither solves an eigenproblem."""
+    tmp = tmp_path_factory.mktemp("contract")
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps(config))
+    args = ["twoqubit", "--fixture-paper-z"] if fixture else ["derive"]
+    if fixture and d is not None:
+        args.append(f"--d={d!r}")
+    assert run(args + ["--config", str(cfg), "--out", str(tmp / "out")]) in \
+        (0, 2, 3, 4)

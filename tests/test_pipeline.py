@@ -1,8 +1,9 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from sawqubit import pipeline
+from sawqubit import adiabatic, pipeline
 from sawqubit.params import DeviceConfig
 
 
@@ -29,3 +30,49 @@ def test_rescale_solution_rejects_changed_natural_problem():
                                           V0=sol.scales.V0 * (1 + 1e-15)))
     with pytest.raises(ValueError, match="natural-unit problem"):
         pipeline.rescale_solution(shifted, 0.067)
+
+
+def test_solve_qubit_solves_half_the_period(monkeypatch):
+    counts = {"solves": 0, "searches": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "solve_lowest",
+                        counted("solves", pipeline.solve_lowest))
+    monkeypatch.setattr(adiabatic, "find_well_minimum",
+                        counted("searches", adiabatic.find_well_minimum))
+    pipeline.solve_qubit(DeviceConfig(), n_times=8)
+    assert counts == {"solves": 4, "searches": 8}
+
+
+@pytest.mark.parametrize("geometry, t_star_index",
+                         [({}, 7), ({"gamma": 0.45, "a": 5e-7}, 0)],
+                         ids=["second_half", "first_half"])
+def test_mirrored_trajectory_matches_full_tracking(geometry, t_star_index):
+    """The mirrored half of solve_qubit against solving every sample."""
+    sol = pipeline.solve_qubit(DeviceConfig(**geometry), n_times=8)
+    assert sol.t_star_index == t_star_index
+    traj = sol.trajectory
+    ref = pipeline.track_dot_levels(traj.times, sol.config, sol.scales)
+    np.testing.assert_array_equal(traj.centers, ref.centers)
+    np.testing.assert_allclose(traj.energies(), ref.energies(), rtol=1e-10,
+                               atol=0)
+    for levels, ref_levels, grid, ref_grid in zip(traj.levels, ref.levels,
+                                                  traj.grids, ref.grids):
+        np.testing.assert_allclose(grid.points, ref_grid.points, rtol=0,
+                                   atol=1e-11)
+        for pair, ref_pair in zip(levels, ref_levels):
+            np.testing.assert_allclose(pair.wavefunction,
+                                       ref_pair.wavefunction, rtol=0,
+                                       atol=1e-9)
+    np.testing.assert_allclose(traj.min_overlaps, ref.min_overlaps, rtol=0,
+                               atol=1e-9)
+    assert traj.grids[t_star_index] == ref.grids[t_star_index]
+    for pair, ref_pair in zip(traj.levels[t_star_index],
+                              ref.levels[t_star_index]):
+        assert pair.energy == ref_pair.energy
+        np.testing.assert_array_equal(pair.wavefunction, ref_pair.wavefunction)
