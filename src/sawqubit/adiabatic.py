@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigensolver import (EigenPair, Grid, matrix_element,
-                          natural_effective_potential)
+from . import potential
+from .eigensolver import EigenPair, Grid, matrix_element
 from .params import DeviceConfig, DerivedScales
 
 DEGENERACY_FLOOR = 1e-12
@@ -40,13 +40,7 @@ def adiabaticity_beta(pair_m: EigenPair, pair_n: EigenPair, t: float,
     if abs(de) <= DEGENERACY_FLOOR:
         raise DegenerateSplittingError(
             f"splitting {de:.3e} (natural units) below {DEGENERACY_FLOOR}")
-    amp = scales.V_S_nat * scales.omega_saw_nat
-    kn = scales.k_nat
-    phase = scales.omega_saw * t
-
-    def dvdt(zeta):
-        return amp * np.sin(kn * zeta - phase)
-
+    dvdt = potential.saw_time_derivative(grid.points, t, scales)
     num = abs(matrix_element(pair_m, pair_n, dvdt, grid))
     return num / de**2
 
@@ -77,9 +71,8 @@ def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,
     """
     if search_halfwidth is None:
         search_halfwidth = 1.25 * config.saw_wavelength / config.a
-    v = natural_effective_potential(config, scales, t)
     zeta = np.linspace(-search_halfwidth, search_halfwidth, n_samples)
-    vals = v(zeta)
+    vals = potential.effective(zeta, t, scales)
     interior = np.flatnonzero((vals[1:-1] < vals[:-2]) & (vals[1:-1] <= vals[2:])) + 1
     if interior.size == 0:
         return float(zeta[np.argmin(vals)])
@@ -91,8 +84,7 @@ def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,
     return float(zeta[idx] + shift * (zeta[1] - zeta[0]))
 
 
-def representative_time(times, centers, config: DeviceConfig,
-                        scales: DerivedScales) -> int:
+def representative_time(times, centers, scales: DerivedScales) -> int:
     """Index of the sampled time of strongest confinement.
 
     ``centers`` holds the tracked well minimum (z/a) at each sampled time.
@@ -105,8 +97,8 @@ def representative_time(times, centers, config: DeviceConfig,
     best = 0
     best_depth = np.inf
     for i, (t, zw) in enumerate(zip(times, centers)):
-        v = natural_effective_potential(config, scales, t)
-        depth = float(v(np.array([zw]))[0] - np.max(v(crest_zeta)))
+        depth = float(potential.effective(np.array([zw]), t, scales)[0]
+                      - np.max(potential.effective(crest_zeta, t, scales)))
         if depth < best_depth:
             best_depth = depth
             best = i

@@ -18,10 +18,10 @@ import time
 
 import numpy as np
 
-from . import __version__, adiabatic, dynamics, oracles, pipeline, twoqubit
+from . import (__version__, adiabatic, dynamics, oracles, pipeline, potential,
+               twoqubit)
 from .constants import CONSTANTS
-from .eigensolver import SolverError, classify_bound, \
-    natural_effective_potential
+from .eigensolver import SolverError, classify_bound
 from .params import ConfigError, DeviceConfig, derive_scales, load_config, \
     thermal_ratio
 
@@ -157,7 +157,7 @@ def cmd_derive(args) -> int:
     return EXIT_OK
 
 
-def _parse_times_ns(text: str, scales) -> np.ndarray:
+def _parse_times_ns(text: str) -> np.ndarray:
     try:
         values = np.array([float(x) * 1e-9 for x in text.split(",")])
     except ValueError as exc:
@@ -186,7 +186,7 @@ def cmd_levels(args) -> int:
         raise ConfigError("--levels",
                           f"must be in [1, {pipeline.DOT_WINDOW_POINTS}]")
     if args.times is not None:
-        times = _parse_times_ns(args.times, scales)
+        times = _parse_times_ns(args.times)
     else:
         times = pipeline.default_times(scales, 8)
     u = _Units(args.units, scales)
@@ -200,12 +200,12 @@ def cmd_levels(args) -> int:
     for i, t in enumerate(times):
         pairs, grid, center = pipeline.solve_dot_levels(t, config, scales,
                                                         count=args.levels)
-        v = natural_effective_potential(config, scales, t)
         # potential curve over the full domain
         pot_path = os.path.join(args.out, f"potential_{i:02d}.csv")
+        v = potential.effective(zeta, t, scales) * scales.natural_energy
         _write_csv(pot_path,
                    [u.col("z", "m"), u.col("energy", "J")],
-                   [pot_z, u.val(v(zeta) * scales.natural_energy, "J")])
+                   [pot_z, u.val(v, "J")])
         outputs.append(pot_path)
         # wavefunctions on the dot window
         wf_path = os.path.join(args.out, f"wavefunctions_{i:02d}.csv")

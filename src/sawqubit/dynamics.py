@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import potential
 from .eigensolver import EigenPair, Grid, matrix_element
 
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
@@ -68,21 +69,19 @@ class RabiTrajectory:
 
 
 def rabi_coefficients(psi0: EigenPair, psi1: EigenPair, V_e: float,
-                      a: float, grid: Grid, hbar: float = 1.0) -> np.ndarray:
+                      grid: Grid, hbar: float = 1.0) -> np.ndarray:
     """Coupling matrix D_ij = (V_e/hbar) <i| sech^2(z/a) |j> (rad/s).
 
     This is the matrix element of the actual drive perturbation
-    V_e cos(wt)/cosh^2(z/a); ``a`` must be given in grid units.
+    V_e cos(wt)/cosh^2(z/a); the grid is in natural units (z/a).
     """
-    def sech2(z):
-        return 1.0 / np.cosh(z / a) ** 2
-
+    profile = potential.drive_profile(grid.points)
     states = (psi0, psi1)
     D = np.empty((2, 2))
     for i in range(2):
         for j in range(i, 2):
             D[i, j] = D[j, i] = (V_e / hbar) * matrix_element(
-                states[i], states[j], sech2, grid)
+                states[i], states[j], profile, grid)
     return D
 
 
@@ -204,6 +203,22 @@ def rwa_population(Omega: float, detuning: float, t) -> float | np.ndarray:
     return out if out.shape else float(out)
 
 
+def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
+    """Mean of x over [i - window//2, i + (window-1)//2] at each i, with
+    zeros beyond the ends: np.convolve(x, ones(window)/window, "same"),
+    from one running sum in O(len(x)) instead of O(len(x) * window).
+    Overwrites x with its running sum, so no second full-length copy is
+    held."""
+    n, before, after = x.size, window // 2, (window - 1) // 2
+    sums = np.cumsum(x, out=x)  # sums[k] = x[0] + ... + x[k]
+    means = np.empty(n)
+    means[:n - after] = sums[after:]
+    means[n - after:] = sums[-1]
+    means[before + 1:] -= sums[:n - before - 1]
+    means /= window
+    return means
+
+
 @dataclass(frozen=True)
 class RabiPeriod:
     period: float  # s
@@ -228,8 +243,7 @@ def extract_rabi_period(traj: RabiTrajectory, min_peak: float = 0.05,
                 f"smoothing window of {smooth_window} samples exceeds the "
                 f"{p1.size}-sample trajectory: it spans less than one drive "
                 f"period")
-        kernel = np.ones(smooth_window) / smooth_window
-        p1 = np.convolve(p1, kernel, mode="same")
+        p1 = _moving_average(p1, smooth_window)
         method = "double_first_peak_quadratic_smoothed"
     if p1.max() < min_peak:
         raise NoOscillationError(

@@ -7,23 +7,20 @@ tridiagonal matrix.
 
 Everything here is unit-agnostic: the grid coordinate, mass, and potential
 just have to be mutually consistent.  The production pipeline uses natural
-units (hbar = 1, length unit a, mass 1/2).
+units (hbar = 1, length unit a, mass 1/2) and samples the model potential
+of :mod:`sawqubit.potential`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .params import DeviceConfig, DerivedScales
 
 # Natural-unit effective mass: with hbar = 1 and energies in units of
 # hbar^2/(2 m* a^2), the kinetic prefactor hbar^2/(2m) equals 1.
 NATURAL_MASS = 0.5
 
 RESIDUAL_TOL = 1e-8
-ORTHO_TOL = 1e-8
-NORM_TOL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -168,23 +165,9 @@ def classify_bound(pair: EigenPair, grid: Grid, well_center: float,
 
 
 def matrix_element(bra: EigenPair, ket: EigenPair, f, grid: Grid) -> float:
-    """<bra| f(z) |ket> by grid quadrature; symmetric for real states."""
+    """<bra| f |ket> by grid quadrature, with f sampled at the grid nodes;
+    symmetric for real states."""
     if bra.wavefunction.shape != ket.wavefunction.shape or \
             bra.wavefunction.shape != (grid.n_points,):
         raise ValueError("bra/ket/grid size mismatch")
-    fz = f(grid.points) if callable(f) else f
-    return float(np.sum(bra.wavefunction * fz * ket.wavefunction) * grid.h)
-
-
-def natural_effective_potential(config: DeviceConfig, scales: DerivedScales,
-                                t: float):
-    """Dimensionless effective potential at SI time t, as a function of z/a."""
-    v0 = scales.V0_nat
-    vs = scales.V_S_nat
-    kn = scales.k_nat
-    phase = scales.omega_saw * t
-
-    def v(zeta):
-        return v0 / np.cosh(zeta) ** 2 + vs * np.cos(kn * zeta - phase)
-
-    return v
+    return float(np.sum(bra.wavefunction * f * ket.wavefunction) * grid.h)

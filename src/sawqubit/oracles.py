@@ -208,11 +208,13 @@ def check_saw_time_derivative(config: DeviceConfig | None = None) -> OracleResul
     config = config or DeviceConfig()
     scales = derive_scales(config, CONSTANTS)
     dt = scales.T_period / 1e6
-    z = np.linspace(-1.5 * config.saw_wavelength, 1.5 * config.saw_wavelength, 7)
+    half = 1.5 * config.saw_wavelength / config.a
+    zeta = np.linspace(-half, half, 7)
     t = 0.37 * scales.T_period
-    analytic = potential.saw_potential_time_derivative(z, t, scales)
-    fd = (potential.saw_potential(z, t + dt, scales)
-          - potential.saw_potential(z, t - dt, scales)) / (2.0 * dt)
+    analytic = potential.saw_time_derivative(zeta, t, scales)
+    span = scales.time_to_natural(2.0 * dt)
+    fd = (potential.saw(zeta, t + dt, scales)
+          - potential.saw(zeta, t - dt, scales)) / span
     rel = np.abs(analytic - fd) / np.max(np.abs(analytic))
     return OracleResult(
         name="saw_time_derivative",

@@ -11,11 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adiabatic, dynamics, twoqubit
+from . import adiabatic, dynamics, potential, twoqubit
 from .constants import PhysicalConstants, CONSTANTS
 from .eigensolver import (NATURAL_MASS, EigenPair, Grid, build_grid,
-                          build_hamiltonian, natural_effective_potential,
-                          solve_lowest)
+                          build_hamiltonian, solve_lowest)
 from .params import DeviceConfig, DerivedScales, derive_scales
 
 DEFAULT_N_POINTS = 4096
@@ -84,8 +83,8 @@ def _solve_window(t: float, center: float, config: DeviceConfig,
                   n_points: int) -> tuple[list, Grid]:
     """Lowest ``count`` levels on the dot window around ``center``."""
     grid = dot_grid(center, config, n_points)
-    v = natural_effective_potential(config, scales, t)
-    H = build_hamiltonian(grid, v, NATURAL_MASS)
+    H = build_hamiltonian(
+        grid, lambda zeta: potential.effective(zeta, t, scales), NATURAL_MASS)
     return solve_lowest(H, count, grid=grid), grid
 
 
@@ -184,7 +183,7 @@ def solve_qubit(config: DeviceConfig,
     times = default_times(scales, n_times)
     centers = np.array([adiabatic.find_well_minimum(t, config, scales)
                         for t in times])
-    idx = adiabatic.representative_time(times, centers, config, scales)
+    idx = adiabatic.representative_time(times, centers, scales)
     n = times.size
     solved = range(n // 2, n) if idx >= n // 2 else range((n + 1) // 2)
     levels, grids = [None] * n, [None] * n
@@ -246,8 +245,8 @@ def rabi_parameters(sol: QubitSolution,
     """
     pairs = sol.trajectory.levels[sol.t_star_index]
     v_e = sol.config.drive_ratio * sol.scales.V_S
-    D = dynamics.rabi_coefficients(pairs[0], pairs[1], v_e,
-                                   a=1.0, grid=sol.grid, hbar=constants.hbar)
+    D = dynamics.rabi_coefficients(pairs[0], pairs[1], v_e, sol.grid,
+                                   hbar=constants.hbar)
     return dynamics.RabiParameters(
         omega0=sol.omega0, omega1=sol.omega1,
         omega_drive=sol.omega1 - sol.omega0, D=D)
@@ -278,6 +277,9 @@ def simulate_rabi(sol: QubitSolution,
     if params.D[0, 1] == 0:
         raise dynamics.NoOscillationError(
             "D01 is zero (no drive coupling); the levels never flip")
+    if not np.all(np.isfinite(params.D)):
+        raise dynamics.NoOscillationError(
+            "drive coupling D is not finite (V_e/hbar overflows)")
     estimated = 2.0 * np.pi / abs(params.D[0, 1])
     if duration is None:
         duration = n_periods * estimated

@@ -1,7 +1,9 @@
 """Potential-energy functions of the moving-dot model.
 
-All functions are pure, accept scalars or numpy arrays (SI units:
-meters, seconds) and return SI energies (J) or their derivatives.
+The model potential is defined here once, in natural units (see
+:mod:`sawqubit.params`): functions of zeta = z/a, SI time t and the
+derived scales, for scalars or numpy arrays.  The Coulomb pair
+potentials between the two channels stay in SI units (m, J, N).
 Grid sampling lives in :mod:`sawqubit.eigensolver`.
 """
 from __future__ import annotations
@@ -12,29 +14,30 @@ from .constants import PhysicalConstants, CONSTANTS
 from .params import DerivedScales
 
 
-def gate_potential(z, scales: DerivedScales, a: float):
-    """Electrostatic split-gate barrier V0 / cosh^2(z/a)."""
-    return scales.V0 / np.cosh(z / a) ** 2
+def barrier(zeta, scales: DerivedScales):
+    """Electrostatic split-gate barrier V0 / cosh^2(zeta)."""
+    return scales.V0_nat / np.cosh(zeta) ** 2
 
 
-def saw_potential(z, t, scales: DerivedScales):
+def saw(zeta, t, scales: DerivedScales):
     """Traveling piezoelectric wave V_S cos(k z - omega t)."""
-    return scales.V_S * np.cos(scales.k * z - scales.omega_saw * t)
+    return scales.V_S_nat * np.cos(scales.k_nat * zeta - scales.omega_saw * t)
 
 
-def effective_potential(z, t, scales: DerivedScales, a: float):
+def effective(zeta, t, scales: DerivedScales):
     """Gate barrier plus traveling SAW corrugation."""
-    return gate_potential(z, scales, a) + saw_potential(z, t, scales)
+    return barrier(zeta, scales) + saw(zeta, t, scales)
 
 
-def drive_potential(z, t, V_e: float, omega_drive: float, a: float):
-    """Microwave drive V_e cos(omega t) / cosh^2(z/a)."""
-    return V_e * np.cos(omega_drive * t) / np.cosh(z / a) ** 2
+def saw_time_derivative(zeta, t, scales: DerivedScales):
+    """Analytic d/dt_nat of the SAW potential: V_S omega sin(k z - omega t)."""
+    return (scales.V_S_nat * scales.omega_saw_nat) * np.sin(
+        scales.k_nat * zeta - scales.omega_saw * t)
 
 
-def saw_potential_time_derivative(z, t, scales: DerivedScales):
-    """Analytic d/dt of the SAW potential: V_S omega sin(k z - omega t)."""
-    return scales.V_S * scales.omega_saw * np.sin(scales.k * z - scales.omega_saw * t)
+def drive_profile(zeta):
+    """Spatial profile sech^2(zeta) of the microwave drive."""
+    return 1.0 / np.cosh(zeta) ** 2
 
 
 def coulomb_force(z_u, z_l, d: float,

@@ -70,13 +70,11 @@ class ZMatrixElements:
 def dot_matrix_elements(psi0: EigenPair, psi1: EigenPair,
                         grid: Grid) -> ZMatrixElements:
     """<0|z|0>, <1|z|1>, <0|z|1> in the grid's length unit."""
-    def ident(z):
-        return z
-
+    z = grid.points
     return ZMatrixElements(
-        z00=matrix_element(psi0, psi0, ident, grid),
-        z11=matrix_element(psi1, psi1, ident, grid),
-        z01=matrix_element(psi0, psi1, ident, grid),
+        z00=matrix_element(psi0, psi0, z, grid),
+        z11=matrix_element(psi1, psi1, z, grid),
+        z01=matrix_element(psi0, psi1, z, grid),
     )
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, pipeline
+from sawqubit import adiabatic, pipeline, potential
 from sawqubit.adiabatic import (DegenerateSplittingError, adiabaticity_beta,
                                 adiabaticity_sweep, find_well_minimum,
                                 representative_time)
 from sawqubit.eigensolver import (NATURAL_MASS, EigenPair, build_grid,
                                   build_hamiltonian, matrix_element,
-                                  natural_effective_potential, solve_lowest)
+                                  solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
 FD_RTOL = 1e-5
@@ -29,9 +29,9 @@ def test_static_potential_gives_zero_beta():
     scales = derive_scales(config)
     # off-center window so the barrier does not create a degenerate pair
     grid = build_grid(0.5, 2.5, 512)
-    v = natural_effective_potential(config, scales, 0.0)
-    pairs = solve_lowest(build_hamiltonian(grid, v, NATURAL_MASS), 2,
-                         grid=grid)
+    H = build_hamiltonian(
+        grid, lambda zeta: potential.effective(zeta, 0.0, scales), NATURAL_MASS)
+    pairs = solve_lowest(H, 2, grid=grid)
     beta = adiabaticity_beta(pairs[0], pairs[1], 0.0, grid, scales)
     assert beta == 0.0
 
@@ -59,20 +59,16 @@ def test_beta_matches_finite_difference_hamiltonian(qubit_solution):
     """Same beta with the analytic dV/dt replaced by a centered difference
     of the potential."""
     sol = qubit_solution
-    config, scales = sol.config, sol.scales
+    scales = sol.scales
     t = sol.t_star
     pairs = sol.trajectory.levels[sol.t_star_index]
     grid = sol.grid
     analytic = adiabaticity_beta(pairs[0], pairs[1], t, grid, scales)
 
     delta = scales.T_period / 1e6
-    vp = natural_effective_potential(config, scales, t + delta)
-    vm = natural_effective_potential(config, scales, t - delta)
-    delta_nat = scales.time_to_natural(2.0 * delta)
-
-    def dvdt_nat(zeta):
-        return (vp(zeta) - vm(zeta)) / delta_nat
-
+    vp = potential.effective(grid.points, t + delta, scales)
+    vm = potential.effective(grid.points, t - delta, scales)
+    dvdt_nat = (vp - vm) / scales.time_to_natural(2.0 * delta)
     de = pairs[0].energy - pairs[1].energy
     fd = abs(matrix_element(pairs[0], pairs[1], dvdt_nat, grid)) / de**2
     assert fd == pytest.approx(analytic, rel=FD_RTOL)
@@ -116,8 +112,8 @@ def test_representative_time_is_deterministic():
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 64)
     centers = [find_well_minimum(t, config, scales) for t in times]
-    i1 = representative_time(times, centers, config, scales)
-    i2 = representative_time(times, centers, config, scales)
+    i1 = representative_time(times, centers, scales)
+    i2 = representative_time(times, centers, scales)
     assert i1 == i2
     assert times[i1] == pytest.approx(T_STAR, rel=1e-12)
 
@@ -142,7 +138,8 @@ def test_well_minimum_at_representative_time():
     center = find_well_minimum(T_STAR, config, scales)
     assert center == pytest.approx(WELL_CENTER_T_STAR, rel=1e-9)
     # it is a genuine local minimum of the effective potential
-    v = natural_effective_potential(config, scales, T_STAR)
     eps = 1e-4
-    assert v(np.array([center]))[0] < v(np.array([center - eps]))[0]
-    assert v(np.array([center]))[0] < v(np.array([center + eps]))[0]
+    below, at, above = potential.effective(
+        np.array([center - eps, center, center + eps]), T_STAR, scales)
+    assert at < below
+    assert at < above

@@ -89,6 +89,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
             (["rabi", "--duration", "1e-12"], {}, "smoothing window"),
             # no drive coupling, so no flip period to integrate to
             (["rabi"], {"drive_ratio": 0.0}, "D01 is zero"),
+            # V_e <sech^2> / hbar overflows: D01 = inf, a zero-length period
+            (["rabi"], {"drive_ratio": 1e300}, "not finite"),
             # a 1 s span needs more than the 1e8 RK4 steps allowed
             (["rabi", "--duration", "1e9"], {}, "steps"),
             # the exchange coupling underflows to zero at this separation

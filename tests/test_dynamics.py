@@ -173,6 +173,17 @@ def test_extract_period_smoothing_rejects_micromotion():
     assert smooth.method == "double_first_peak_quadratic_smoothed"
 
 
+@pytest.mark.parametrize("n, window", [(10, 10), (11, 4), (100, 7),
+                                       (1000, 1), (5000, 4999)])
+def test_moving_average_matches_convolution(n, window):
+    """The O(N) cumulative-sum smoothing equals the centered convolution
+    with a flat kernel, zero-padded at both ends."""
+    x = np.random.default_rng(n).random(n)
+    expected = np.convolve(x, np.ones(window) / window, mode="same")
+    np.testing.assert_allclose(dynamics._moving_average(x.copy(), window),
+                               expected, rtol=0.0, atol=1e-12)
+
+
 def test_default_device_full_flip(rabi_result):
     """Resonant drive from the solved spectrum reaches full inversion and
     the extracted period matches 2*pi/|D01|."""
@@ -193,5 +204,5 @@ def test_coefficient_matrix_symmetric(qubit_solution, rabi_result):
 def test_zero_drive_amplitude_gives_zero_coupling(qubit_solution):
     sol = qubit_solution
     pairs = sol.trajectory.levels[sol.t_star_index]
-    D = dynamics.rabi_coefficients(pairs[0], pairs[1], 0.0, 1.0, sol.grid)
+    D = dynamics.rabi_coefficients(pairs[0], pairs[1], 0.0, sol.grid)
     np.testing.assert_array_equal(D, np.zeros((2, 2)))

@@ -1,4 +1,6 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -10,79 +12,71 @@ from sawqubit.constants import CONSTANTS
 from sawqubit.params import DeviceConfig, derive_scales
 
 SCALES = derive_scales(DeviceConfig())
-A = DeviceConfig().a
+LAMBDA = DeviceConfig().saw_wavelength / DeviceConfig().a  # SAW period in zeta
 
 finite_z = st.floats(min_value=-5e-6, max_value=5e-6,
                      allow_nan=False, allow_infinity=False)
+finite_zeta = st.floats(min_value=-10.0, max_value=10.0,
+                        allow_nan=False, allow_infinity=False)
 
 
 def test_gate_center_value():
-    assert potential.gate_potential(0.0, SCALES, A) == SCALES.V0
+    assert potential.barrier(0.0, SCALES) == SCALES.V0_nat
 
 
 def test_gate_tail_negligible():
-    assert potential.gate_potential(10 * A, SCALES, A) < 1e-8 * SCALES.V0
+    assert potential.barrier(10.0, SCALES) < 1e-8 * SCALES.V0_nat
 
 
 def test_gate_at_one_half_length():
-    expected = SCALES.V0 / math.cosh(1.0) ** 2
-    assert potential.gate_potential(A, SCALES, A) == pytest.approx(
-        expected, rel=1e-12)
-    assert expected / SCALES.V0 == pytest.approx(0.41997, rel=1e-4)
+    expected = SCALES.V0_nat / math.cosh(1.0) ** 2
+    assert potential.barrier(1.0, SCALES) == pytest.approx(expected, rel=1e-12)
+    assert expected / SCALES.V0_nat == pytest.approx(0.41997, rel=1e-4)
 
 
-@given(z=finite_z)
+@given(zeta=finite_zeta)
 @settings(max_examples=50, deadline=None)
-def test_gate_parity(z):
-    assert potential.gate_potential(z, SCALES, A) == \
-        potential.gate_potential(-z, SCALES, A)
+def test_gate_parity(zeta):
+    assert potential.barrier(zeta, SCALES) == potential.barrier(-zeta, SCALES)
 
 
 def test_saw_crest():
     # k z - w t = 0 at z = 0, t = 0
-    assert potential.saw_potential(0.0, 0.0, SCALES) == SCALES.V_S
+    assert potential.saw(0.0, 0.0, SCALES) == SCALES.V_S_nat
 
 
 def test_saw_node():
-    lam = DeviceConfig().saw_wavelength
-    value = potential.saw_potential(lam / 4.0, 0.0, SCALES)
-    assert abs(value) < 1e-12 * SCALES.V_S
+    value = potential.saw(LAMBDA / 4.0, 0.0, SCALES)
+    assert abs(value) < 1e-12 * SCALES.V_S_nat
 
 
-@given(z=finite_z, frac=st.floats(min_value=0.0, max_value=1.0,
-                                  allow_nan=False))
+@given(zeta=finite_zeta, frac=st.floats(min_value=0.0, max_value=1.0,
+                                        allow_nan=False))
 @settings(max_examples=50, deadline=None)
-def test_saw_periodicity(z, frac):
-    lam = DeviceConfig().saw_wavelength
+def test_saw_periodicity(zeta, frac):
     t = frac * SCALES.T_period
-    base = potential.saw_potential(z, t, SCALES)
-    assert potential.saw_potential(z + lam, t, SCALES) == pytest.approx(
-        base, rel=1e-12, abs=1e-12 * SCALES.V_S)
-    assert potential.saw_potential(z, t + SCALES.T_period, SCALES) == \
-        pytest.approx(base, rel=1e-12, abs=1e-12 * SCALES.V_S)
+    base = potential.saw(zeta, t, SCALES)
+    assert potential.saw(zeta + LAMBDA, t, SCALES) == pytest.approx(
+        base, rel=1e-12, abs=1e-12 * SCALES.V_S_nat)
+    assert potential.saw(zeta, t + SCALES.T_period, SCALES) == \
+        pytest.approx(base, rel=1e-12, abs=1e-12 * SCALES.V_S_nat)
 
 
 def test_effective_reduces_to_gate_without_saw():
     scales0 = derive_scales(DeviceConfig(gamma=0.0))
-    z = np.linspace(-2e-6, 2e-6, 101)
+    zeta = np.linspace(-4.0, 4.0, 101)
     for t in (0.0, 0.4 * scales0.T_period):
-        np.testing.assert_array_equal(
-            potential.effective_potential(z, t, scales0, A),
-            potential.gate_potential(z, scales0, A))
+        np.testing.assert_array_equal(potential.effective(zeta, t, scales0),
+                                      potential.barrier(zeta, scales0))
 
 
 def test_effective_coinciding_maxima():
-    assert potential.effective_potential(0.0, 0.0, SCALES, A) == \
-        SCALES.V0 + SCALES.V_S
+    assert potential.effective(0.0, 0.0, SCALES) == \
+        SCALES.V0_nat + SCALES.V_S_nat
 
 
-def test_drive_node_and_peak():
-    v_e = 0.1 * SCALES.V_S
-    omega_d = 2.0e12
-    t_node = math.pi / (2.0 * omega_d)
-    assert abs(potential.drive_potential(0.3e-6, t_node, v_e, omega_d, A)) \
-        < 1e-12 * v_e
-    assert potential.drive_potential(0.0, 0.0, v_e, omega_d, A) == v_e
+def test_drive_profile_peak():
+    assert potential.drive_profile(0.0) == 1.0
 
 
 def test_drive_amplitude_vs_barrier():
@@ -92,25 +86,40 @@ def test_drive_amplitude_vs_barrier():
 
 
 def test_saw_derivative_zero_at_crest():
-    assert potential.saw_potential_time_derivative(0.0, 0.0, SCALES) == 0.0
+    assert potential.saw_time_derivative(0.0, 0.0, SCALES) == 0.0
 
 
 def test_saw_derivative_peak():
-    # k z - w t = -pi/2 gives sin = -1... pick z = lambda/4, t = 0: sin(pi/2)
-    lam = DeviceConfig().saw_wavelength
-    value = potential.saw_potential_time_derivative(lam / 4.0, 0.0, SCALES)
-    assert value == pytest.approx(SCALES.V_S * SCALES.omega_saw, rel=1e-12)
+    # k z - w t = pi/2 at z = lambda/4, t = 0: sin = 1
+    value = potential.saw_time_derivative(LAMBDA / 4.0, 0.0, SCALES)
+    assert value == pytest.approx(SCALES.V_S_nat * SCALES.omega_saw_nat,
+                                  rel=1e-12)
 
 
 def test_saw_derivative_matches_finite_difference():
     dt = SCALES.T_period / 1e6
-    z = np.linspace(-1.5e-6, 1.5e-6, 13)
+    zeta = np.linspace(-3.0, 3.0, 13)
     t = 0.23 * SCALES.T_period
-    analytic = potential.saw_potential_time_derivative(z, t, SCALES)
-    fd = (potential.saw_potential(z, t + dt, SCALES)
-          - potential.saw_potential(z, t - dt, SCALES)) / (2.0 * dt)
-    np.testing.assert_allclose(fd, analytic,
-                               atol=1e-6 * SCALES.V_S * SCALES.omega_saw)
+    analytic = potential.saw_time_derivative(zeta, t, SCALES)
+    span = SCALES.time_to_natural(2.0 * dt)
+    fd = (potential.saw(zeta, t + dt, SCALES)
+          - potential.saw(zeta, t - dt, SCALES)) / span
+    np.testing.assert_allclose(
+        fd, analytic, atol=1e-6 * SCALES.V_S_nat * SCALES.omega_saw_nat)
+
+
+def test_cosh_called_only_in_potential_and_oracles():
+    """The sech^2 barrier and drive profile are defined once, in
+    potential.py; oracles.py keeps its own closed-form test wells."""
+    src = pathlib.Path(potential.__file__).parent
+    callers = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    isinstance(node.func, ast.Attribute) and \
+                    node.func.attr == "cosh":
+                callers.add(path.name)
+    assert callers == {"potential.py", "oracles.py"}
 
 
 def test_coulomb_force_vanishes_at_alignment():
