@@ -7,9 +7,12 @@ The amplitude equations (with level frequencies w0, w1 and a cosine drive)
 
 are integrated with a fixed-step classical 4th-order Runge-Kutta scheme for
 deterministic, regression-friendly output.  Being linear, each RK4 step is a
-2x2 matrix; the matrices are built in numpy and applied by a chunked blocked
-prefix scan, so no Python code runs once per step.  The step-by-step loop is
-kept as ``oracles.scalar_rk4``, the reference the tests compare against.
+2x2 matrix, a fixed polynomial in the drive cosines at the step's start,
+midpoint and end.  Its coefficients are found once per integration; a chunk
+of step matrices is then one BLAS product with the cosine monomials, and
+the matrices are applied by a blocked prefix scan, so no Python code runs
+once per step.  The step-by-step loop is kept as ``oracles.scalar_rk4``, the
+reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -23,9 +26,12 @@ from .eigensolver import EigenPair, Grid, matrix_element
 
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
 DEFAULT_STEP_FACTOR = 1000.0
-MAX_STEPS = 1e8  # 4 GB of times and amplitudes
-CHUNK_STEPS = 4096  # steps whose matrices are held in memory at once
-BLOCK_STEPS = 64  # steps per prefix-product block
+# A cap on the step count, not on memory: a ``rabi`` run holds ~56 B per
+# step (times, both amplitudes, and p1 with its smoothed copy in the period
+# extraction), so a run near the cap needs ~5.6 GB.
+MAX_STEPS = 1e8
+CHUNK_STEPS = 8192  # steps whose matrices are held in memory at once
+BLOCK_STEPS = 32  # steps per prefix-product block
 
 
 class StepSizeError(ValueError):
@@ -34,6 +40,10 @@ class StepSizeError(ValueError):
 
 class NoOscillationError(RuntimeError):
     """Trajectory shows no usable population oscillation."""
+
+
+class StrongDriveWarning(UserWarning):
+    """Drive coupling too strong for the weak-drive Rabi period estimate."""
 
 
 @dataclass(frozen=True)
@@ -99,8 +109,10 @@ def _matmul(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _step_matrices(params: RabiParameters, t: np.ndarray, dt: float) -> tuple:
-    """Entries of the RK4 step matrices for the steps starting at ``t``.
+def _step_matrices(params: RabiParameters, dt: float, cos_a, cos_b,
+                   cos_c) -> tuple:
+    """Entries of the RK4 step matrix for the drive cosines ``cos_a``,
+    ``cos_b`` and ``cos_c`` at the start, midpoint and end of a step.
 
     With dC/dt = -i H(t) C, H = diag(w0, w1) + D cos(w t), and G = dt H at
     the start (a), midpoint (b) and end (c) of a step, one RK4 step maps C
@@ -111,14 +123,11 @@ def _step_matrices(params: RabiParameters, t: np.ndarray, dt: float) -> tuple:
     d00, d01, d10, d11 = (dt * params.D[i, j] for i in (0, 1) for j in (0, 1))
     g0 = dt * params.omega0
     g1 = dt * params.omega1
-    w = params.omega_drive
 
     def g(cos):
         return (g0 + d00 * cos, d01 * cos, d10 * cos, g1 + d11 * cos)
 
-    ga = g(np.cos(w * t))
-    gb = g(np.cos(w * (t + dt / 2.0)))
-    gc = g(np.cos(w * (t + dt)))
+    ga, gb, gc = g(cos_a), g(cos_b), g(cos_c)
     gb2 = _matmul(gb, gb)
     gcgb2 = _matmul(gc, gb2)
     terms = zip((1.0, 0.0, 0.0, 1.0), ga, gb, gc, _matmul(gb, ga), gb2,
@@ -129,16 +138,65 @@ def _step_matrices(params: RabiParameters, t: np.ndarray, dt: float) -> tuple:
         for eye, a, b, c, ba, bb, cb, bba, cbb, cbba in terms)
 
 
+def _step_polynomial(params: RabiParameters, dt: float) -> np.ndarray:
+    """The RK4 step matrix as a polynomial in the drive cosines.
+
+    M is affine in cos_a and cos_c and quadratic in cos_b, so it is the sum
+    of 12 monomials cos_a^p cos_b^q cos_c^r (p, r <= 1, q <= 2), ordered
+    (p, q, r).  Returns the real (8, 12) matrix whose rows are the real
+    parts of the entries 00, 01, 10, 11 and then their imaginary parts:
+    the exact interpolant of ``_step_matrices`` on the nodes
+    cos_a, cos_c in {0, 1} and cos_b in {-1, 0, 1}.
+    """
+    # [entry, a node, b node, c node]
+    m = np.array(_step_matrices(params, dt,
+                                np.array([0.0, 1.0])[:, None, None],
+                                np.array([-1.0, 0.0, 1.0])[:, None],
+                                np.array([0.0, 1.0])))
+    linear = np.array([[1.0, 0.0], [-1.0, 1.0]])
+    quadratic = np.array([[0.0, 1.0, 0.0], [-0.5, 0.0, 0.5], [0.5, -1.0, 0.5]])
+    coef = np.einsum("pi,qj,rk,eijk->epqr", linear, quadratic, linear,
+                     m).reshape(4, 12)
+    return np.concatenate((coef.real, coef.imag))
+
+
+def _chunk_matrices(poly: np.ndarray, w: float, t: np.ndarray,
+                    dt: float) -> np.ndarray:
+    """Step matrices of the steps starting at ``t``, laid out [j, b], as
+    m[j, row, column, b]: the monomials of the three drive cosines, times
+    the coefficients ``poly`` of ``_step_polynomial``."""
+    # cos_a^p cos_b^q cos_c^r, laid out [p, q, r, j, b]
+    x = np.empty((2, 3, 2, *t.shape))
+    x[0, 0, 0] = 1.0
+    np.cos(w * (t + dt), out=x[0, 0, 1])
+    np.cos(w * (t + dt / 2.0), out=x[0, 1, 0])
+    np.cos(w * t, out=x[1, 0, 0])
+    np.multiply(x[0, 1, 0], x[0, 0, 1], out=x[0, 1, 1])
+    np.multiply(x[0, 1, 0], x[0, 1], out=x[0, 2])
+    np.multiply(x[1, 0, 0], x[0, 0, 1], out=x[1, 0, 1])
+    np.multiply(x[1, 0, 0], x[0, 1:], out=x[1, 1:])
+    # [real/imaginary, row, column, j, b]
+    entries = (poly @ x.reshape(12, -1)).reshape(2, 2, 2, *t.shape)
+    m = np.empty((t.shape[0], 2, 2, t.shape[1]), dtype=complex)
+    m.real = entries[0].transpose(2, 0, 1, 3)
+    m.imag = entries[1].transpose(2, 0, 1, 3)
+    return m
+
+
 def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
                    dt: float, initial: tuple[complex, complex]) -> RabiTrajectory:
     """Fixed-step RK4 integration of the amplitude equations.
 
     The equations are linear, so each RK4 step is a 2x2 matrix
-    (``_step_matrices``).  The steps are taken CHUNK_STEPS at a time.  In a
-    chunk, prefix products run over blocks of BLOCK_STEPS consecutive steps,
-    one vectorized pass per position in the block across all blocks; the
-    state is then carried from block to block and from chunk to chunk.
-    Python work grows with the number of blocks, not of steps.
+    (``_step_matrices``), a polynomial in the step's three drive cosines
+    whose coefficients (``_step_polynomial``) are computed once here.  The
+    steps are taken CHUNK_STEPS at a time: the chunk's matrices are one
+    (8, 12) @ (12, CHUNK_STEPS) product with the cosine monomials
+    (``_chunk_matrices``).  In a chunk, prefix products run over blocks of
+    BLOCK_STEPS consecutive steps, one vectorized pass per position in the
+    block across all blocks; the state is then carried from block to block
+    and from chunk to chunk.  Python work grows with the number of blocks,
+    not of steps.
     """
     c0, c1 = complex(initial[0]), complex(initial[1])
     norm = abs(c0) ** 2 + abs(c1) ** 2
@@ -163,28 +221,30 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
     out0[0] = c0
     out1[0] = c1
 
+    poly = _step_polynomial(params, dt)
     # step index of position j in block b, laid out [j, b]
     in_block = np.arange(BLOCK_STEPS)[:, None]
     for start in range(0, n_steps, CHUNK_STEPS):
         count = min(CHUNK_STEPS, n_steps - start)
         n_blocks = -(-count // BLOCK_STEPS)
-        steps = start + in_block + BLOCK_STEPS * np.arange(n_blocks)
-        m = _step_matrices(params, t0 + dt * steps, dt)
+        t = t0 + dt * (start + in_block + BLOCK_STEPS * np.arange(n_blocks))
+        m = _chunk_matrices(poly, params.omega_drive, t, dt)
         for j in range(1, BLOCK_STEPS):
-            for entry, value in zip(m, _matmul([e[j] for e in m],
-                                               [e[j - 1] for e in m])):
-                entry[j] = value
+            # m[j] <- m[j] @ m[j - 1], one 2x2 product per block
+            np.add(m[j, :, :1] * m[j - 1, :1], m[j, :, 1:] * m[j - 1, 1:],
+                   out=m[j])
         # state entering each block; only the last chunk can end inside a
         # block, and its padding steps are computed but not written out
         s0 = np.empty(n_blocks, dtype=complex)
         s1 = np.empty(n_blocks, dtype=complex)
-        p00, p01, p10, p11 = (e[-1].tolist() for e in m)
+        p00, p01, p10, p11 = (m[-1, r, c].tolist() for r in (0, 1)
+                              for c in (0, 1))
         for b in range(n_blocks):
             s0[b], s1[b] = c0, c1
             c0, c1 = p00[b] * c0 + p01[b] * c1, p10[b] * c0 + p11[b] * c1
         span = slice(start + 1, start + 1 + count)
-        out0[span] = (m[0] * s0 + m[1] * s1).T.ravel()[:count]
-        out1[span] = (m[2] * s0 + m[3] * s1).T.ravel()[:count]
+        out0[span] = (m[:, 0, 0] * s0 + m[:, 0, 1] * s1).T.ravel()[:count]
+        out1[span] = (m[:, 1, 0] * s0 + m[:, 1, 1] * s1).T.ravel()[:count]
 
     return RabiTrajectory(times=times, c0=out0, c1=out1)
 

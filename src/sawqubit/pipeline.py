@@ -7,6 +7,7 @@ evaluated there.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -20,6 +21,7 @@ from .params import DeviceConfig, DerivedScales, derive_scales
 DEFAULT_N_POINTS = 4096
 DEFAULT_N_TIMES = 64
 DEFAULT_N_LEVELS = 3
+WEAK_DRIVE_RATIO = 0.1  # largest |D01|, |D11 - D00| over the drive frequency
 
 # Reference per-dot position matrix elements for a two-channel device
 # (upper/lower), in meters; used to exercise the coupling pipeline without
@@ -252,6 +254,25 @@ def rabi_parameters(sol: QubitSolution,
         omega_drive=sol.omega1 - sol.omega0, D=D)
 
 
+def warn_if_strong_drive(params: dynamics.RabiParameters) -> None:
+    """Warn (StrongDriveWarning) unless the drive is weak.
+
+    The period estimate 2 pi/|D01| assumes |D01| and |D11 - D00| small next
+    to the drive frequency; above WEAK_DRIVE_RATIO of it the extracted
+    period drifts away from the estimate.
+    """
+    w = abs(params.omega_drive)
+    d01 = abs(params.D[0, 1])
+    d_diag = abs(params.D[1, 1] - params.D[0, 0])
+    if max(d01, d_diag) > WEAK_DRIVE_RATIO * w:
+        warnings.warn(
+            f"strong drive: |D01| = {d01:.3e} and |D11 - D00| = "
+            f"{d_diag:.3e} rad/s against the drive frequency {w:.3e} rad/s "
+            f"(limit {WEAK_DRIVE_RATIO} of it); the Rabi period departs "
+            "from the weak-drive estimate 2*pi/|D01|",
+            dynamics.StrongDriveWarning, stacklevel=2)
+
+
 @dataclass(frozen=True)
 class RabiResult:
     """Resonant Rabi run: parameters, trajectory, and extracted period."""
@@ -271,7 +292,8 @@ def simulate_rabi(sol: QubitSolution,
 
     The trajectory spans ``duration`` seconds when given, else ``n_periods``
     estimated Rabi periods; the period extraction smooths over one drive
-    period to suppress micromotion.
+    period to suppress micromotion.  Warns (StrongDriveWarning) before
+    integrating when the drive is too strong for the estimate.
     """
     params = rabi_parameters(sol, constants)
     if params.D[0, 1] == 0:
@@ -280,6 +302,7 @@ def simulate_rabi(sol: QubitSolution,
     if not np.all(np.isfinite(params.D)):
         raise dynamics.NoOscillationError(
             "drive coupling D is not finite (V_e/hbar overflows)")
+    warn_if_strong_drive(params)
     estimated = 2.0 * np.pi / abs(params.D[0, 1])
     if duration is None:
         duration = n_periods * estimated

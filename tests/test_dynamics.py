@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,12 +79,18 @@ def test_rejects_coarse_step():
             integrate_rabi(params, span, 1e-5, (1.0, 0.0))
 
 
+B, C = dynamics.BLOCK_STEPS, dynamics.CHUNK_STEPS
+# the block and chunk edges, plus fixed counts inside a chunk
+STEP_COUNTS = sorted({1, B - 1, B, B + 1, C - 1, C + 1, 2 * C + 1,
+                      63, 64, 65, 4095, 4097})
+
+
 @pytest.mark.parametrize("case", ["default_device", "diagonal_terms",
-                                  1, 63, 64, 65, 4095, 4097])
+                                  *STEP_COUNTS])
 def test_vectorized_rk4_matches_scalar_loop(case, request):
     """The chunked blocked scan reproduces the step-by-step RK4 loop, on
     the solved device and at step counts around the block and chunk
-    edges."""
+    edges (from BLOCK_STEPS and CHUNK_STEPS, so they follow a retune)."""
     initial = (1.0, 0.0)
     if case == "default_device":
         params = pipeline.rabi_parameters(
@@ -107,6 +114,46 @@ def test_vectorized_rk4_matches_scalar_loop(case, request):
     np.testing.assert_array_equal(fast.times, slow.times)
     dc = max(np.abs(fast.c0 - slow.c0).max(), np.abs(fast.c1 - slow.c1).max())
     assert dc <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["default_device", "diagonal_terms"])
+def test_step_polynomial_matches_closed_form(case, request):
+    """The 12 monomial coefficients reproduce the closed-form RK4 step
+    matrix at random drive cosines."""
+    if case == "default_device":
+        params = pipeline.rabi_parameters(
+            request.getfixturevalue("qubit_solution"))
+    else:
+        params = _synthetic_params(d01=0.5, d00=2.0, d11=1.5)
+    dt = suggested_step(params)
+    cos_a, cos_b, cos_c = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 50))
+    monomials = np.array([cos_a**p * cos_b**q * cos_c**r for p in (0, 1)
+                          for q in (0, 1, 2) for r in (0, 1)])
+    entries = dynamics._step_polynomial(params, dt) @ monomials
+    poly = entries[:4] + 1j * entries[4:]
+    closed = np.array(dynamics._step_matrices(params, dt, cos_a, cos_b, cos_c))
+    assert np.abs(poly - closed).max() <= 1e-14
+
+
+def test_transient_memory_is_bounded_by_the_chunk():
+    """Beyond its output (times and two amplitude arrays), a 100k-step
+    integration holds a few chunks' worth of step matrices at a time:
+    at most 8 times one chunk's complex 2x2 matrices (4.2 MB at 8192
+    steps a chunk)."""
+    params = _synthetic_params(d01=0.5, d00=2.0, d11=1.5)
+    dt = suggested_step(params)
+    span = (0.0, 100_000 * dt)
+    integrate_rabi(params, span, dt, (1.0, 0.0))  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        traj = integrate_rabi(params, span, dt, (1.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = traj.times.nbytes + traj.c0.nbytes + traj.c1.nbytes
+    assert traj.times.size >= 100_000
+    chunk_bytes = 4 * 16 * dynamics.CHUNK_STEPS
+    assert peak - output <= 8 * chunk_bytes
 
 
 def test_rejects_unnormalized_state():

@@ -1,9 +1,10 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, pipeline
+from sawqubit import adiabatic, dynamics, pipeline
 from sawqubit.params import DeviceConfig
 
 
@@ -76,3 +77,31 @@ def test_mirrored_trajectory_matches_full_tracking(geometry, t_star_index):
                               ref.levels[t_star_index]):
         assert pair.energy == ref_pair.energy
         np.testing.assert_array_equal(pair.wavefunction, ref_pair.wavefunction)
+
+
+def _drive(d01, d_diag):
+    """Resonant parameters at drive frequency 1 with the given couplings."""
+    return dynamics.RabiParameters(
+        omega0=0.0, omega1=1.0, omega_drive=1.0,
+        D=np.array([[0.0, d01], [d01, d_diag]]))
+
+
+@pytest.mark.parametrize("d01, d_diag", [(0.5, 0.0), (0.0, 0.5)])
+def test_strong_drive_warns(d01, d_diag):
+    with pytest.warns(dynamics.StrongDriveWarning, match="strong drive"):
+        pipeline.warn_if_strong_drive(_drive(d01, d_diag))
+
+
+def test_weak_drive_is_silent(rabi_result):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pipeline.warn_if_strong_drive(_drive(0.03, 0.03))
+        pipeline.warn_if_strong_drive(rabi_result.params)
+
+
+def test_tiny_drive_length_scale_warns():
+    """At l0 = 1e-12 m the rabi run reported a period 8% off the estimate;
+    the couplings from the solve alone flag it."""
+    sol = pipeline.solve_qubit(DeviceConfig(l0=1e-12))
+    with pytest.warns(dynamics.StrongDriveWarning):
+        pipeline.warn_if_strong_drive(pipeline.rabi_parameters(sol))
