@@ -6,8 +6,6 @@ simply |<m| dV/dt_nat |n>| / dE_nat^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import potential
@@ -19,15 +17,6 @@ DEGENERACY_FLOOR = 1e-12
 
 class DegenerateSplittingError(ValueError):
     """Level splitting too small for a meaningful adiabaticity ratio."""
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    time: float  # s
-    level_m: int
-    level_n: int
-    beta: float
-    splitting: float  # E_m - E_n (J)
 
 
 def adiabaticity_beta(pair_m: EigenPair, pair_n: EigenPair, t: float,
@@ -45,19 +34,13 @@ def adiabaticity_beta(pair_m: EigenPair, pair_n: EigenPair, t: float,
     return num / de**2
 
 
-def adiabaticity_sweep(trajectory, scales: DerivedScales, level_m: int = 0,
-                       level_n: int = 1) -> list[AdiabaticityReport]:
-    """beta(t) for one level pair at every sample of a dot trajectory
-    (``pipeline.DotTrajectory``, one window grid per time)."""
-    reports = []
-    for t, pairs, grid in zip(trajectory.times, trajectory.levels,
-                              trajectory.grids):
-        pm, pn = pairs[level_m], pairs[level_n]
-        beta = adiabaticity_beta(pm, pn, t, grid, scales)
-        reports.append(AdiabaticityReport(
-            time=float(t), level_m=level_m, level_n=level_n, beta=beta,
-            splitting=scales.energy_to_si(pm.energy - pn.energy)))
-    return reports
+def adiabaticity_sweep(trajectory, scales: DerivedScales) -> np.ndarray:
+    """beta(t) of the qubit levels 0 and 1 at every sample of a dot
+    trajectory (``pipeline.DotTrajectory``, one window grid per time)."""
+    return np.array([
+        adiabaticity_beta(pairs[0], pairs[1], t, grid, scales)
+        for t, pairs, grid in zip(trajectory.times, trajectory.levels,
+                                  trajectory.grids)])
 
 
 def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,

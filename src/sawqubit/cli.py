@@ -20,7 +20,6 @@ import numpy as np
 
 from . import (__version__, adiabatic, dynamics, oracles, pipeline, potential,
                twoqubit)
-from .constants import CONSTANTS
 from .eigensolver import SolverError, classify_bound
 from .params import ConfigError, DeviceConfig, derive_scales, load_config, \
     thermal_ratio
@@ -88,20 +87,15 @@ class _Units:
         self.scales = scales
 
     def val(self, value, kind: str):
-        if self.mode == "si" or kind == "1":
+        if self.mode == "si":
             return value
         div = {"s": self.scales.natural_time,
                "J": self.scales.natural_energy,
-               "m": self.scales.natural_length,
-               "J_per_s": self.scales.natural_energy / self.scales.natural_time,
-               }[kind]
+               "m": self.scales.natural_length}[kind]
         return value / div
 
     def col(self, base: str, kind: str) -> str:
-        if kind == "1":
-            return base
-        suffix = {"s": "s", "J": "J", "m": "m", "J_per_s": "J_per_s"}[kind]
-        return f"{base}_{suffix}" if self.mode == "si" else f"{base}_nat"
+        return f"{base}_{kind}" if self.mode == "si" else f"{base}_nat"
 
 
 def _finish(out_dir: str, subcommand: str, config: DeviceConfig, scales,
@@ -126,8 +120,8 @@ def _load(args) -> DeviceConfig:
 def cmd_derive(args) -> int:
     t_start = time.perf_counter()
     config = _load(args)
-    scales = derive_scales(config, CONSTANTS)
-    check = thermal_ratio(config, pipeline.REFERENCE_QUBIT_SPLITTING, CONSTANTS)
+    scales = derive_scales(config)
+    check = thermal_ratio(config, pipeline.REFERENCE_QUBIT_SPLITTING)
     u = _Units(args.units, scales)
     doc = {key: value for key, value in config.as_file_dict().items()}
     doc.update({
@@ -151,7 +145,7 @@ def cmd_derive(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "derived.json")
     _write_json(path, doc)
-    print(f"T_period = {scales.T_period * 1e9:.4f} ns, "
+    print(f"T_period = {scales.T_period:.4e} s, "
           f"k_B T = {check.thermal_energy:.4e} J  -> {path}")
     _finish(args.out, "derive", config, scales, [path], t_start)
     return EXIT_OK
@@ -181,7 +175,7 @@ def _positive_ns(flag: str, value_ns):
 def cmd_levels(args) -> int:
     t_start = time.perf_counter()
     config = _load(args)
-    scales = derive_scales(config, CONSTANTS)
+    scales = derive_scales(config)
     if not 1 <= args.levels <= pipeline.DOT_WINDOW_POINTS:
         raise ConfigError("--levels",
                           f"must be in [1, {pipeline.DOT_WINDOW_POINTS}]")
@@ -233,21 +227,19 @@ def cmd_levels(args) -> int:
 def cmd_adiabaticity(args) -> int:
     t_start = time.perf_counter()
     config = _load(args)
-    sol = pipeline.solve_qubit(config, CONSTANTS)
+    sol = pipeline.solve_qubit(config)
     scales = sol.scales
     u = _Units(args.units, scales)
-    reports = adiabatic.adiabaticity_sweep(sol.trajectory, scales)
+    betas = adiabatic.adiabaticity_sweep(sol.trajectory, scales)
     os.makedirs(args.out, exist_ok=True)
-    energies = scales.energy_to_si(sol.trajectory.energies())
-    betas = np.array([r.beta for r in reports])
+    e0, e1 = scales.energy_to_si(sol.trajectory.energies()).T
     csv_path = os.path.join(args.out, "beta.csv")
     _write_csv(csv_path,
                [u.col("t", "s"), "beta", u.col("E0", "J"), u.col("E1", "J"),
                 u.col("splitting", "J")],
-               [u.val(sol.trajectory.times, "s"), betas,
-                u.val(energies[:, 0], "J"), u.val(energies[:, 1], "J"),
-                u.val(np.array([r.splitting for r in reports]), "J")])
-    beta_star = reports[sol.t_star_index].beta
+               [u.val(sol.trajectory.times, "s"), betas, u.val(e0, "J"),
+                u.val(e1, "J"), u.val(e1 - e0, "J")])
+    beta_star = betas[sol.t_star_index]
     summary = {
         "t_star": u.val(sol.t_star, "s"),
         "beta_at_t_star": float(beta_star),
@@ -271,10 +263,10 @@ def cmd_rabi(args) -> int:
     t_start = time.perf_counter()
     config = _load(args)
     duration = _positive_ns("--duration", args.duration)
-    sol = pipeline.solve_qubit(config, CONSTANTS)
+    sol = pipeline.solve_qubit(config)
     scales = sol.scales
     u = _Units(args.units, scales)
-    result = pipeline.simulate_rabi(sol, CONSTANTS, duration=duration)
+    result = pipeline.simulate_rabi(sol, duration=duration)
     traj = result.trajectory
     stride = max(1, (traj.times.size - 1) // (MAX_TRAJECTORY_ROWS - 1))
     sel = slice(None, None, stride)
@@ -300,7 +292,7 @@ def cmd_rabi(args) -> int:
     }
     json_path = os.path.join(args.out, "rabi_summary.json")
     _write_json(json_path, summary)
-    print(f"Rabi period {result.period.period * 1e9:.4f} ns "
+    print(f"Rabi period {result.period.period:.4e} s "
           f"({result.period.method}) -> {json_path}")
     _finish(args.out, "rabi", config, scales, [csv_path, json_path], t_start)
     return EXIT_OK
@@ -317,21 +309,19 @@ def cmd_twoqubit(args) -> int:
         raise ConfigError("--d", "must be finite and > 0")
     duration = _positive_ns("--duration", args.duration)
     if args.fixture_paper_z:
-        scales = derive_scales(config, CONSTANTS)
-        coeffs = pipeline.twoqubit_coefficients_from_reference(d, CONSTANTS)
+        scales = derive_scales(config)
+        coeffs = pipeline.twoqubit_coefficients_from_reference(d)
         zu, zl = pipeline.REFERENCE_Z_UPPER, pipeline.REFERENCE_Z_LOWER
     else:
-        sol = pipeline.solve_qubit(config, CONSTANTS)
+        sol = pipeline.solve_qubit(config)
         scales = sol.scales
-        coeffs, z = pipeline.twoqubit_coefficients_from_solution(sol, d,
-                                                                 CONSTANTS)
+        coeffs, z = pipeline.twoqubit_coefficients_from_solution(sol, d)
         zu = zl = z
     u = _Units(args.units, scales)
-    gate_time = twoqubit.gate_time_for_iswap(coeffs, CONSTANTS)
+    gate_time = twoqubit.gate_time_for_iswap(coeffs)
     t_max = duration if duration is not None else gate_time
     sweep_times = np.linspace(t_max / 32.0, t_max, 32)
-    fids = twoqubit.rwa_fidelity(coeffs, np.append(sweep_times, gate_time),
-                                 CONSTANTS)
+    fids = twoqubit.rwa_fidelity(coeffs, np.append(sweep_times, gate_time))
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "fidelity.csv")
     _write_csv(csv_path, [u.col("t", "s"), "fidelity"],
@@ -360,7 +350,7 @@ def cmd_twoqubit(args) -> int:
     json_path = os.path.join(args.out, "twoqubit_summary.json")
     _write_json(json_path, summary)
     print(f"|c_zz/c_xx| = {summary['czz_over_cxx']:.4e}, gate time "
-          f"{gate_time * 1e9:.4f} ns, RWA fidelity {rwa_fid:.6f} "
+          f"{gate_time:.4e} s, RWA fidelity {rwa_fid:.6f} "
           f"-> {json_path}")
     _finish(args.out, "twoqubit", config, scales, [csv_path, json_path],
             t_start)
@@ -370,12 +360,12 @@ def cmd_twoqubit(args) -> int:
 def cmd_validate(args) -> int:
     t_start = time.perf_counter()
     config = DeviceConfig()
-    scales = derive_scales(config, CONSTANTS)
+    scales = derive_scales(config)
     results = oracles.run_all()
     report = {r.name: {"passed": r.passed, **r.measured} for r in results}
     # Splitting report for both candidate effective-mass settings, from
     # one natural-unit solve (the spectrum is mass independent).
-    sol = pipeline.solve_qubit(config, CONSTANTS)
+    sol = pipeline.solve_qubit(config)
     masses = {}
     for ratio in (0.0067, 0.067):
         splitting = pipeline.rescale_solution(sol, ratio).splitting

@@ -22,10 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potential
+from .constants import CONSTANTS
 from .eigensolver import EigenPair, Grid, matrix_element
 
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
-DEFAULT_STEP_FACTOR = 1000.0
+STEP_FACTOR = 1000.0  # suggested steps per period of the fastest frequency
+MIN_PEAK = 0.05  # smallest p1 maximum that counts as an oscillation
 # A cap on the step count, not on memory: a ``rabi`` run holds ~56 B per
 # step (times, both amplitudes, and p1 with its smoothed copy in the period
 # extraction), so a run near the cap needs ~5.6 GB.
@@ -79,26 +81,26 @@ class RabiTrajectory:
 
 
 def rabi_coefficients(psi0: EigenPair, psi1: EigenPair, V_e: float,
-                      grid: Grid, hbar: float = 1.0) -> np.ndarray:
+                      grid: Grid) -> np.ndarray:
     """Coupling matrix D_ij = (V_e/hbar) <i| sech^2(z/a) |j> (rad/s).
 
     This is the matrix element of the actual drive perturbation
-    V_e cos(wt)/cosh^2(z/a); the grid is in natural units (z/a).
+    V_e cos(wt)/cosh^2(z/a), with V_e in J; the grid is in natural units
+    (z/a).
     """
     profile = potential.drive_profile(grid.points)
     states = (psi0, psi1)
     D = np.empty((2, 2))
     for i in range(2):
         for j in range(i, 2):
-            D[i, j] = D[j, i] = (V_e / hbar) * matrix_element(
+            D[i, j] = D[j, i] = (V_e / CONSTANTS.hbar) * matrix_element(
                 states[i], states[j], profile, grid)
     return D
 
 
-def suggested_step(params: RabiParameters,
-                   factor: float = DEFAULT_STEP_FACTOR) -> float:
+def suggested_step(params: RabiParameters) -> float:
     """Default integration step resolving the fastest frequency."""
-    return 2.0 * math.pi / (factor * params.max_frequency())
+    return 2.0 * math.pi / (STEP_FACTOR * params.max_frequency())
 
 
 def _matmul(a, b):
@@ -285,7 +287,7 @@ class RabiPeriod:
     method: str
 
 
-def extract_rabi_period(traj: RabiTrajectory, min_peak: float = 0.05,
+def extract_rabi_period(traj: RabiTrajectory,
                         smooth_window: int | None = None) -> RabiPeriod:
     """Oscillation period as twice the time of the first p1 maximum.
 
@@ -305,11 +307,11 @@ def extract_rabi_period(traj: RabiTrajectory, min_peak: float = 0.05,
                 f"period")
         p1 = _moving_average(p1, smooth_window)
         method = "double_first_peak_quadratic_smoothed"
-    if p1.max() < min_peak:
+    if p1.max() < MIN_PEAK:
         raise NoOscillationError(
-            f"max p1 = {p1.max():.4f} < {min_peak}; no oscillation detected")
+            f"max p1 = {p1.max():.4f} < {MIN_PEAK}; no oscillation detected")
     peaks = np.flatnonzero((p1[1:-1] > p1[:-2]) & (p1[1:-1] >= p1[2:])) + 1
-    peaks = peaks[p1[peaks] >= min_peak]
+    peaks = peaks[p1[peaks] >= MIN_PEAK]
     if peaks.size == 0:
         raise NoOscillationError("population rises but never turns over; "
                                  "extend the trajectory")

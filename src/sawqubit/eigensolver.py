@@ -5,10 +5,11 @@ boundaries (wavefunction implicitly zero one spacing outside the grid).
 The solver extracts only the lowest-k eigenpairs of the resulting symmetric
 tridiagonal matrix.
 
-Everything here is unit-agnostic: the grid coordinate, mass, and potential
-just have to be mutually consistent.  The production pipeline uses natural
-units (hbar = 1, length unit a, mass 1/2) and samples the model potential
-of :mod:`sawqubit.potential`.
+The Hamiltonian is in natural units only (see :mod:`sawqubit.params`):
+hbar = 1 and mass 1/2, so the kinetic prefactor hbar^2/(2m) is 1.  The
+grid coordinate and the potential are in the matching length and energy
+units; the pipeline samples the model potential of
+:mod:`sawqubit.potential` on z/a grids.
 """
 from __future__ import annotations
 
@@ -16,11 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Natural-unit effective mass: with hbar = 1 and energies in units of
-# hbar^2/(2 m* a^2), the kinetic prefactor hbar^2/(2m) equals 1.
-NATURAL_MASS = 0.5
-
 RESIDUAL_TOL = 1e-8
+# Smallest fraction of a state's weight inside the well window for
+# ``classify_bound`` to call it bound.
+BOUND_FRACTION = 0.99
 
 
 class SolverError(RuntimeError):
@@ -76,9 +76,8 @@ class TridiagonalHamiltonian:
         return out
 
 
-def build_hamiltonian(grid: Grid, potential, m_star: float,
-                      hbar: float = 1.0) -> TridiagonalHamiltonian:
-    """Assemble the 3-point finite-difference Hamiltonian.
+def build_hamiltonian(grid: Grid, potential) -> TridiagonalHamiltonian:
+    """Assemble the 3-point finite-difference Hamiltonian -d^2/dz^2 + V.
 
     ``potential`` is a callable z -> energy (vectorized) sampled at the
     grid nodes at a fixed time.
@@ -89,7 +88,7 @@ def build_hamiltonian(grid: Grid, potential, m_star: float,
     if not np.all(np.isfinite(v)):
         bad = int(np.flatnonzero(~np.isfinite(v))[0])
         raise ValueError(f"non-finite potential sample at grid index {bad}")
-    kin = hbar**2 / (2.0 * m_star * grid.h**2)
+    kin = 1.0 / grid.h**2
     diagonal = 2.0 * kin + v
     off_diagonal = np.full(grid.n_points - 1, -kin)
     return TridiagonalHamiltonian(diagonal=diagonal, off_diagonal=off_diagonal)
@@ -101,7 +100,6 @@ class EigenPair:
 
     energy: float
     wavefunction: np.ndarray
-    index: int
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -111,11 +109,11 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def solve_lowest(H: TridiagonalHamiltonian, count: int,
-                 grid: Grid | None = None, h: float | None = None) -> list[EigenPair]:
+                 grid: Grid) -> list[EigenPair]:
     """Lowest ``count`` eigenpairs, energies nondecreasing, orthonormal.
 
-    Normalization uses the grid spacing ``h`` (taken from ``grid`` if given,
-    else 1), so that sum |psi_i|^2 h = 1.
+    Normalization uses the spacing h of ``grid``, so that
+    sum |psi_i|^2 h = 1.
     """
     # imported here: scipy.linalg costs every process ~0.2-0.3 s to load,
     # and most subcommands never solve
@@ -124,8 +122,6 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int,
     n = H.n
     if not (1 <= count <= n):
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    if h is None:
-        h = grid.h if grid is not None else 1.0
     try:
         w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal,
                                 select="i", select_range=(0, count - 1))
@@ -134,13 +130,13 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int,
                           f"count={count}: {exc}") from exc
     pairs = []
     for i in range(count):
-        vec = _fix_sign(v[:, i]) / np.sqrt(h)
+        vec = _fix_sign(v[:, i]) / np.sqrt(grid.h)
         resid = np.linalg.norm(H.apply(vec) - w[i] * vec) / np.linalg.norm(vec)
         if resid > RESIDUAL_TOL * max(1.0, np.abs(H.diagonal).max()):
             raise SolverError(
                 f"eigen-residual {resid:.3e} too large for level {i} "
                 f"(energy {w[i]:.6e}, n={n})")
-        pairs.append(EigenPair(energy=float(w[i]), wavefunction=vec, index=i))
+        pairs.append(EigenPair(energy=float(w[i]), wavefunction=vec))
     return pairs
 
 
@@ -151,7 +147,7 @@ class BoundClassification:
 
 
 def classify_bound(pair: EigenPair, grid: Grid, well_center: float,
-                   well_width: float, threshold: float = 0.99) -> BoundClassification:
+                   well_width: float) -> BoundClassification:
     """Is the state localized in the well window [center +/- width/2]?"""
     if not (well_width > 0):
         raise ValueError("well_width must be positive")
@@ -161,7 +157,8 @@ def classify_bound(pair: EigenPair, grid: Grid, well_center: float,
     z = grid.points
     mask = (z >= lo) & (z <= hi)
     frac = float(np.sum(pair.wavefunction[mask] ** 2) * grid.h)
-    return BoundClassification(bound=frac >= threshold, mass_fraction=frac)
+    return BoundClassification(bound=frac >= BOUND_FRACTION,
+                               mass_fraction=frac)
 
 
 def matrix_element(bra: EigenPair, ket: EigenPair, f, grid: Grid) -> float:

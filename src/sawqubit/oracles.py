@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dynamics, potential, twoqubit
 from .constants import CONSTANTS
-from .eigensolver import NATURAL_MASS, build_grid, build_hamiltonian, solve_lowest
+from .eigensolver import build_grid, build_hamiltonian, solve_lowest
 from .params import DeviceConfig, derive_scales
 
 SPECTRUM_RTOL = 1e-4
@@ -40,7 +40,7 @@ class OracleResult:
 
 def _solve_energies(v, z_half: float, n_points: int, count: int) -> np.ndarray:
     grid = build_grid(-z_half, z_half, n_points)
-    H = build_hamiltonian(grid, v, NATURAL_MASS)
+    H = build_hamiltonian(grid, v)
     pairs = solve_lowest(H, count, grid=grid)
     return np.array([p.energy for p in pairs])
 
@@ -79,7 +79,7 @@ def check_box(length: float = 1.0, count: int = 3,
     Dirichlet boundary one spacing outside the first/last node."""
     h = length / (n_points + 1)
     grid = build_grid(h, length - h, n_points)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: 0.0 * z)
     num = np.array([p.energy for p in solve_lowest(H, count, grid=grid)])
     exact = np.array([(n * math.pi / length) ** 2 for n in range(1, count + 1)])
     rel = np.abs(num - exact) / exact
@@ -206,7 +206,7 @@ def scalar_rk4(params: dynamics.RabiParameters, t_span: tuple[float, float],
 def check_saw_time_derivative(config: DeviceConfig | None = None) -> OracleResult:
     """Analytic d/dt of the traveling wave vs a central difference."""
     config = config or DeviceConfig()
-    scales = derive_scales(config, CONSTANTS)
+    scales = derive_scales(config)
     dt = scales.T_period / 1e6
     half = 1.5 * config.saw_wavelength / config.a
     zeta = np.linspace(-half, half, 7)
@@ -232,9 +232,9 @@ def check_coulomb_force_consistency(d: float = 1e-6) -> OracleResult:
     z = np.linspace(-0.5 * d, 0.5 * d, 11)
     z = z[np.abs(z) > 1e-12 * d]
     dz = 1e-7 * d
-    dv = (potential.coulomb_potential_exact(z + dz, d, CONSTANTS)
-          - potential.coulomb_potential_exact(z - dz, d, CONSTANTS)) / (2.0 * dz)
-    force = potential.coulomb_force(np.zeros_like(z), z, d, CONSTANTS)
+    dv = (potential.coulomb_potential_exact(z + dz, d)
+          - potential.coulomb_potential_exact(z - dz, d)) / (2.0 * dz)
+    force = potential.coulomb_force(np.zeros_like(z), z, d)
     rel = np.abs(dv - force) / np.max(np.abs(force))
     return OracleResult(
         name="coulomb_force_consistency",
@@ -247,8 +247,8 @@ def check_quadratic_coulomb_slope(d: float = 1e-6) -> OracleResult:
     """log-log slope of the quadratic-expansion error over z/d in [1e-3, 1e-1]."""
     ratios = np.logspace(-3, -1, 9)
     z = ratios * d
-    exact = potential.coulomb_potential_exact(z, d, CONSTANTS)
-    quad = potential.coulomb_potential_quadratic(z, d, CONSTANTS)
+    exact = potential.coulomb_potential_exact(z, d)
+    quad = potential.coulomb_potential_quadratic(z, d)
     rel_err = np.abs(quad - exact) / exact
     slope, _ = np.polyfit(np.log(ratios), np.log(rel_err), 1)
     return OracleResult(

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 
-from .constants import PhysicalConstants, CONSTANTS
+from .constants import CONSTANTS
 
 
 class ConfigError(ValueError):
@@ -25,6 +25,11 @@ class ConfigError(ValueError):
 # Upper bound on the SAW velocity, ~10x the fastest known SAW substrates;
 # beta grows in proportion to the velocity, so larger values are absurd.
 MAX_SAW_VELOCITY_MPS = 1e5
+
+# Grid points of the moving-dot window, one SAW wavelength wide.  Its
+# kinetic term sets the largest energy the eigensolver meets, which the
+# derived scales must keep in the float range.
+DOT_WINDOW_POINTS = 1025
 
 # Mapping between config-file keys and DeviceConfig attributes.
 CONFIG_FILE_KEYS = {
@@ -143,58 +148,47 @@ class DerivedScales:
     def omega_saw_nat(self) -> float:
         return self.omega_saw * self.natural_time
 
-    # --- unit conversions (SI <-> natural) ---
-    def energy_to_natural(self, e_si):
-        return e_si / self.natural_energy
-
     def energy_to_si(self, e_nat):
         return e_nat * self.natural_energy
 
-    def length_to_natural(self, z_si):
-        return z_si / self.natural_length
-
-    def length_to_si(self, z_nat):
-        return z_nat * self.natural_length
-
     def time_to_natural(self, t_si):
         return t_si / self.natural_time
-
-    def time_to_si(self, t_nat):
-        return t_nat * self.natural_time
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
 def _scale(name: str, attr: str, source: float, compute) -> float:
-    """``compute()``, rejected unless it is a finite float that is zero only
+    """``compute()``, rejected unless it is a finite float, and nonzero
     when the config value ``source`` of ``attr`` is."""
     try:
         value = compute()
     except (OverflowError, ZeroDivisionError):
         value = math.inf
-    if not math.isfinite(value) or (value == 0) != (source == 0):
+    if not math.isfinite(value) or (value == 0 and source != 0):
         raise ConfigError(attr, f"{source!r} takes the derived {name} out "
                                  f"of the float range ({value!r})")
     return value
 
 
-def derive_scales(config: DeviceConfig,
-                  constants: PhysicalConstants = CONSTANTS) -> DerivedScales:
+def derive_scales(config: DeviceConfig) -> DerivedScales:
     """Compute all derived scalar quantities from a validated config.
 
     Pure and deterministic: identical inputs give bit-identical outputs.
     Raises ConfigError if a finite config value takes a derived scale, or
     a natural-unit parameter, to inf, or to 0 from a nonzero value.  The
-    scales are checked in order, so the field named is the last one to
-    enter the scale that fails.
+    natural-unit parameters include the potential's range V0 + V_S, the
+    grid extents, and the Gershgorin bound 4/h^2 + V0 + V_S of the dot
+    window's Hamiltonian, the largest magnitude the eigensolver meets.
+    The scales are checked in order, so the field named is the last one
+    to enter the scale that fails.
     """
     config.validate()
-    hbar = constants.hbar
+    hbar = CONSTANTS.hbar
     m_star = _scale("m_star", "effective_mass_ratio",
                     config.effective_mass_ratio,
                     lambda: config.effective_mass_ratio
-                    * constants.electron_mass)
+                    * CONSTANTS.electron_mass)
     natural_length = config.a
     natural_energy = _scale("natural_energy", "a", config.a, lambda: (
         hbar**2 / (2.0 * m_star * config.a**2)))
@@ -219,6 +213,16 @@ def derive_scales(config: DeviceConfig,
                        ("omega_saw_nat", "saw_velocity")):
         _scale(name, attr, getattr(config, attr),
                lambda: getattr(scales, name))
+    depth = _scale("V0_nat + V_S_nat", "gamma", config.gamma,
+                   lambda: scales.V0_nat + scales.V_S_nat)
+    # z/a grids: the full domain spans 4 lambda/a, the dot window lambda/a
+    # in DOT_WINDOW_POINTS - 1 steps of h
+    _scale("4 lambda/a", "saw_wavelength", config.saw_wavelength,
+           lambda: 4.0 * config.saw_wavelength / config.a)
+    h = config.saw_wavelength / config.a / (DOT_WINDOW_POINTS - 1)
+    _scale("dot-window Gershgorin bound 4/h^2 + V0_nat + V_S_nat",
+           "saw_wavelength", config.saw_wavelength,
+           lambda: 4.0 / h**2 + depth)
     return scales
 
 
@@ -230,10 +234,10 @@ class ThermalCheck:
     ratio: float  # k_B T / splitting
 
 
-def thermal_ratio(config: DeviceConfig, qubit_splitting: float,
-                  constants: PhysicalConstants = CONSTANTS) -> ThermalCheck:
+def thermal_ratio(config: DeviceConfig,
+                  qubit_splitting: float) -> ThermalCheck:
     """k_B T / splitting; small values mean thermal excitation is negligible."""
     if not (qubit_splitting > 0):
         raise ValueError("qubit_splitting must be positive")
-    kbt = constants.boltzmann * config.temperature
+    kbt = CONSTANTS.boltzmann * config.temperature
     return ThermalCheck(thermal_energy=kbt, ratio=kbt / qubit_splitting)

@@ -13,15 +13,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import adiabatic, dynamics, potential, twoqubit
-from .constants import PhysicalConstants, CONSTANTS
-from .eigensolver import (NATURAL_MASS, EigenPair, Grid, build_grid,
-                          build_hamiltonian, solve_lowest)
-from .params import DeviceConfig, DerivedScales, derive_scales
+from .constants import CONSTANTS
+from .eigensolver import (EigenPair, Grid, build_grid, build_hamiltonian,
+                          solve_lowest)
+from .params import (DOT_WINDOW_POINTS, DeviceConfig, DerivedScales,
+                     derive_scales)
 
 DEFAULT_N_POINTS = 4096
 DEFAULT_N_TIMES = 64
 DEFAULT_N_LEVELS = 3
+QUBIT_LEVELS = 2  # levels solved per sample by solve_qubit: the qubit pair
 WEAK_DRIVE_RATIO = 0.1  # largest |D01|, |D11 - D00| over the drive frequency
+RABI_SPAN_PERIODS = 1.5  # default Rabi run, in estimated flip periods
 
 # Reference per-dot position matrix elements for a two-channel device
 # (upper/lower), in meters; used to exercise the coupling pipeline without
@@ -54,20 +57,16 @@ def default_times(scales: DerivedScales,
 # full domain, whose lowest states live in the deep SAW troughs outside the
 # channel.  The dot levels are therefore solved on a moving window of width
 # lambda centered on the tracked well minimum, with Dirichlet walls on the
-# surrounding potential crests.
-DOT_WINDOW_POINTS = 1025
-
-
-def dot_grid(center: float, config: DeviceConfig,
-             n_points: int = DOT_WINDOW_POINTS) -> Grid:
+# surrounding potential crests.  Its resolution, DOT_WINDOW_POINTS, lives
+# in params, whose derived scales keep the window's kinetic term finite.
+def dot_grid(center: float, config: DeviceConfig) -> Grid:
     """Window grid of width lambda (in z/a units) around a well center."""
     half = 0.5 * config.saw_wavelength / config.a
-    return build_grid(center - half, center + half, n_points)
+    return build_grid(center - half, center + half, DOT_WINDOW_POINTS)
 
 
 def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
-                     count: int = DEFAULT_N_LEVELS,
-                     n_points: int = DOT_WINDOW_POINTS
+                     count: int = DEFAULT_N_LEVELS
                      ) -> tuple[list, Grid, float]:
     """Lowest ``count`` levels of the well nearest the barrier at SI time t.
 
@@ -76,23 +75,20 @@ def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
     are insensitive to them.
     """
     center = adiabatic.find_well_minimum(t, config, scales)
-    return (*_solve_window(t, center, config, scales, count, n_points),
-            center)
+    return (*_solve_window(t, center, config, scales, count), center)
 
 
 def _solve_window(t: float, center: float, config: DeviceConfig,
-                  scales: DerivedScales, count: int,
-                  n_points: int) -> tuple[list, Grid]:
+                  scales: DerivedScales, count: int) -> tuple[list, Grid]:
     """Lowest ``count`` levels on the dot window around ``center``."""
-    grid = dot_grid(center, config, n_points)
+    grid = dot_grid(center, config)
     H = build_hamiltonian(
-        grid, lambda zeta: potential.effective(zeta, t, scales), NATURAL_MASS)
+        grid, lambda zeta: potential.effective(zeta, t, scales))
     return solve_lowest(H, count, grid=grid), grid
 
 
 def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
-                     count: int = 2,
-                     n_points: int = DOT_WINDOW_POINTS) -> "DotTrajectory":
+                     count: int = 2) -> "DotTrajectory":
     """Dot-level trajectory over the SAW period, sign-aligned step to step.
 
     ``times`` must be nonempty and strictly monotonic.  Every sample is
@@ -104,7 +100,7 @@ def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
                           and not (np.all(diffs > 0) or np.all(diffs < 0))):
         raise ValueError("times must be nonempty and strictly monotonic")
     levels, grids, centers = zip(*(
-        solve_dot_levels(t, config, scales, count, n_points) for t in times))
+        solve_dot_levels(t, config, scales, count) for t in times))
     return _aligned_trajectory(times, list(levels), list(grids),
                                np.array(centers))
 
@@ -130,8 +126,7 @@ def _aligned_trajectory(times: np.ndarray, levels: list, grids: list,
             ov = float(np.sum(prev_on_cur * pairs[n].wavefunction) * grid.h)
             if ov < 0:
                 pairs[n] = EigenPair(energy=pairs[n].energy,
-                                     wavefunction=-pairs[n].wavefunction,
-                                     index=n)
+                                     wavefunction=-pairs[n].wavefunction)
                 ov = -ov
             min_ov[n] = min(min_ov[n], ov)
     return DotTrajectory(times=times, levels=levels, grids=grids,
@@ -171,9 +166,7 @@ class QubitSolution:
 
 
 def solve_qubit(config: DeviceConfig,
-                constants: PhysicalConstants = CONSTANTS,
-                n_times: int = DEFAULT_N_TIMES,
-                n_levels: int = 2) -> QubitSolution:
+                n_times: int = DEFAULT_N_TIMES) -> QubitSolution:
     """Track the dot levels over a SAW period and evaluate them at t*.
 
     The potential obeys V(z, T - t) = V(-z, t): the barrier is even and
@@ -181,7 +174,7 @@ def solve_qubit(config: DeviceConfig,
     so only the half of the period holding t* is solved; each sample of
     the other half takes the mirror image (z -> -z) of its partner.
     """
-    scales = derive_scales(config, constants)
+    scales = derive_scales(config)
     times = default_times(scales, n_times)
     centers = np.array([adiabatic.find_well_minimum(t, config, scales)
                         for t in times])
@@ -191,34 +184,32 @@ def solve_qubit(config: DeviceConfig,
     levels, grids = [None] * n, [None] * n
     for i in solved:
         levels[i], grids[i] = _solve_window(times[i], centers[i], config,
-                                            scales, n_levels,
-                                            DOT_WINDOW_POINTS)
+                                            scales, QUBIT_LEVELS)
     for i in range(n):
         if levels[i] is None:
             pairs, grid = levels[n - 1 - i], grids[n - 1 - i]
             levels[i] = [EigenPair(energy=p.energy,
-                                   wavefunction=p.wavefunction[::-1],
-                                   index=p.index) for p in pairs]
+                                   wavefunction=p.wavefunction[::-1])
+                         for p in pairs]
             grids[i] = Grid(-grid.z_max, -grid.z_min, grid.n_points)
     traj = _aligned_trajectory(times, levels, grids, centers)
     return QubitSolution(
         config=config, scales=scales, grid=traj.grids[idx], trajectory=traj,
         t_star=float(times[idx]), t_star_index=idx,
-        **_si_levels(traj.levels[idx], scales, constants),
+        **_si_levels(traj.levels[idx], scales),
         well_center=float(traj.centers[idx]))
 
 
-def _si_levels(pairs, scales: DerivedScales,
-               constants: PhysicalConstants) -> dict:
+def _si_levels(pairs, scales: DerivedScales) -> dict:
     """The QubitSolution fields E0, E1, splitting, omega0 and omega1."""
     e0 = scales.energy_to_si(pairs[0].energy)
     e1 = scales.energy_to_si(pairs[1].energy)
     return {"E0": e0, "E1": e1, "splitting": e1 - e0,
-            "omega0": e0 / constants.hbar, "omega1": e1 / constants.hbar}
+            "omega0": e0 / CONSTANTS.hbar, "omega1": e1 / CONSTANTS.hbar}
 
 
-def rescale_solution(sol: QubitSolution, effective_mass_ratio: float,
-                     constants: PhysicalConstants = CONSTANTS) -> QubitSolution:
+def rescale_solution(sol: QubitSolution,
+                     effective_mass_ratio: float) -> QubitSolution:
     """The solution for another effective mass, without solving again.
 
     The mass enters only the SI scales: the natural-unit problem, and so
@@ -226,7 +217,7 @@ def rescale_solution(sol: QubitSolution, effective_mass_ratio: float,
     unless the natural parameters of both masses agree bit for bit.
     """
     config = replace(sol.config, effective_mass_ratio=effective_mass_ratio)
-    scales = derive_scales(config, constants)
+    scales = derive_scales(config)
     natural = ("V0_nat", "V_S_nat", "k_nat")
     if any(getattr(scales, name) != getattr(sol.scales, name)
            for name in natural):
@@ -234,11 +225,10 @@ def rescale_solution(sol: QubitSolution, effective_mass_ratio: float,
                          "solve it again instead")
     return replace(sol, config=config, scales=scales,
                    **_si_levels(sol.trajectory.levels[sol.t_star_index],
-                                scales, constants))
+                                scales))
 
 
-def rabi_parameters(sol: QubitSolution,
-                    constants: PhysicalConstants = CONSTANTS) -> dynamics.RabiParameters:
+def rabi_parameters(sol: QubitSolution) -> dynamics.RabiParameters:
     """Resonant drive parameters from the solved spectrum at t*.
 
     The drive amplitude is V_e = drive_ratio * V_S; the coupling matrix is
@@ -247,8 +237,7 @@ def rabi_parameters(sol: QubitSolution,
     """
     pairs = sol.trajectory.levels[sol.t_star_index]
     v_e = sol.config.drive_ratio * sol.scales.V_S
-    D = dynamics.rabi_coefficients(pairs[0], pairs[1], v_e, sol.grid,
-                                   hbar=constants.hbar)
+    D = dynamics.rabi_coefficients(pairs[0], pairs[1], v_e, sol.grid)
     return dynamics.RabiParameters(
         omega0=sol.omega0, omega1=sol.omega1,
         omega_drive=sol.omega1 - sol.omega0, D=D)
@@ -284,18 +273,15 @@ class RabiResult:
 
 
 def simulate_rabi(sol: QubitSolution,
-                  constants: PhysicalConstants = CONSTANTS,
-                  n_periods: float = 1.5,
-                  step_factor: float = dynamics.DEFAULT_STEP_FACTOR,
                   duration: float | None = None) -> RabiResult:
     """Integrate the resonant drive from |0> and extract the flip period.
 
-    The trajectory spans ``duration`` seconds when given, else ``n_periods``
-    estimated Rabi periods; the period extraction smooths over one drive
-    period to suppress micromotion.  Warns (StrongDriveWarning) before
+    The trajectory spans ``duration`` seconds when given, else
+    RABI_SPAN_PERIODS estimated Rabi periods; the period extraction
+    smooths over one drive period to suppress micromotion.  Warns (StrongDriveWarning) before
     integrating when the drive is too strong for the estimate.
     """
-    params = rabi_parameters(sol, constants)
+    params = rabi_parameters(sol)
     if params.D[0, 1] == 0:
         raise dynamics.NoOscillationError(
             "D01 is zero (no drive coupling); the levels never flip")
@@ -305,8 +291,8 @@ def simulate_rabi(sol: QubitSolution,
     warn_if_strong_drive(params)
     estimated = 2.0 * np.pi / abs(params.D[0, 1])
     if duration is None:
-        duration = n_periods * estimated
-    dt = dynamics.suggested_step(params, step_factor)
+        duration = RABI_SPAN_PERIODS * estimated
+    dt = dynamics.suggested_step(params)
     traj = dynamics.integrate_rabi(params, (0.0, duration), dt, (1.0, 0.0))
     dt_actual = float(traj.times[1] - traj.times[0])
     window = int(round(2.0 * np.pi / params.omega_drive / dt_actual))
@@ -316,22 +302,20 @@ def simulate_rabi(sol: QubitSolution,
 
 
 def twoqubit_coefficients_from_reference(
-        d: float, constants: PhysicalConstants = CONSTANTS) -> twoqubit.PauliCoefficients:
+        d: float) -> twoqubit.PauliCoefficients:
     """Coupling coefficients from the built-in reference matrix elements.
 
     Both channels get the reference qubit splitting as their transition
     frequency.
     """
-    omega = REFERENCE_QUBIT_SPLITTING / constants.hbar
+    omega = REFERENCE_QUBIT_SPLITTING / CONSTANTS.hbar
     return twoqubit.coulomb_pauli_coefficients(
-        REFERENCE_Z_UPPER, REFERENCE_Z_LOWER, d, constants,
-        omega_u=omega, omega_l=omega)
+        REFERENCE_Z_UPPER, REFERENCE_Z_LOWER, d, omega_u=omega, omega_l=omega)
 
 
 def twoqubit_coefficients_from_solution(
-        sol: QubitSolution, d: float,
-        constants: PhysicalConstants = CONSTANTS) -> tuple[twoqubit.PauliCoefficients,
-                                                           twoqubit.ZMatrixElements]:
+        sol: QubitSolution, d: float) -> tuple[twoqubit.PauliCoefficients,
+                                               twoqubit.ZMatrixElements]:
     """Coupling coefficients with both channels modeled by the solved dot."""
     pairs = sol.trajectory.levels[sol.t_star_index]
     zn = twoqubit.dot_matrix_elements(pairs[0], pairs[1], sol.grid)
@@ -339,7 +323,7 @@ def twoqubit_coefficients_from_solution(
         z00=zn.z00 * sol.scales.natural_length,
         z11=zn.z11 * sol.scales.natural_length,
         z01=zn.z01 * sol.scales.natural_length)
-    omega = sol.splitting / constants.hbar
+    omega = sol.splitting / CONSTANTS.hbar
     coeffs = twoqubit.coulomb_pauli_coefficients(
-        z, z, d, constants, omega_u=omega, omega_l=omega)
+        z, z, d, omega_u=omega, omega_l=omega)
     return coeffs, z

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import PhysicalConstants, CONSTANTS
+from .constants import CONSTANTS
 from .params import DerivedScales
 
 
@@ -40,8 +40,7 @@ def drive_profile(zeta):
     return 1.0 / np.cosh(zeta) ** 2
 
 
-def coulomb_force(z_u, z_l, d: float,
-                  constants: PhysicalConstants = CONSTANTS):
+def coulomb_force(z_u, z_l, d: float):
     """Longitudinal Coulomb force between the two channel electrons.
 
     Antisymmetric in (z_u, z_l); d > 0 keeps it singularity-free.
@@ -49,13 +48,13 @@ def coulomb_force(z_u, z_l, d: float,
     if not (d > 0):
         raise ValueError("channel separation d must be positive")
     dz = np.asarray(z_l, dtype=float) - np.asarray(z_u, dtype=float)
-    pref = constants.elementary_charge**2 / (4.0 * np.pi * constants.vacuum_permittivity)
+    pref = CONSTANTS.elementary_charge**2 / (
+        4.0 * np.pi * CONSTANTS.vacuum_permittivity)
     out = pref * dz / (d**2 + dz**2) ** 1.5
     return out if out.shape else float(out)
 
 
-def coulomb_potential_exact(z, d: float,
-                            constants: PhysicalConstants = CONSTANTS):
+def coulomb_potential_exact(z, d: float):
     """Exact inter-channel Coulomb potential as a function of z = z_l - z_u.
 
     Zero at z = 0, saturating at e^2/(4 pi eps0 d) for |z| -> infinity.
@@ -63,17 +62,17 @@ def coulomb_potential_exact(z, d: float,
     if not (d > 0):
         raise ValueError("channel separation d must be positive")
     z = np.asarray(z, dtype=float)
-    pref = constants.elementary_charge**2 / (4.0 * np.pi * constants.vacuum_permittivity * d)
+    pref = CONSTANTS.elementary_charge**2 / (
+        4.0 * np.pi * CONSTANTS.vacuum_permittivity * d)
     out = -pref * (1.0 / np.sqrt(1.0 + (z / d) ** 2) - 1.0)
     return out if out.shape else float(out)
 
 
-def coulomb_potential_quadratic(z, d: float,
-                                constants: PhysicalConstants = CONSTANTS):
+def coulomb_potential_quadratic(z, d: float):
     """Small-displacement quadratic form e^2 z^2 / (8 pi eps0 d^3)."""
     if not (d > 0):
         raise ValueError("channel separation d must be positive")
     z = np.asarray(z, dtype=float)
-    out = constants.elementary_charge**2 * z**2 / (
-        8.0 * np.pi * constants.vacuum_permittivity * d**3)
+    out = CONSTANTS.elementary_charge**2 * z**2 / (
+        8.0 * np.pi * CONSTANTS.vacuum_permittivity * d**3)
     return out if out.shape else float(out)

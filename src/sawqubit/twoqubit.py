@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import PhysicalConstants, CONSTANTS
+from .constants import CONSTANTS
 from .eigensolver import EigenPair, Grid, matrix_element
 
 # Single-qubit operators in the (|1>, |0>) basis.
@@ -56,6 +56,12 @@ class PhaseResolutionError(ValueError):
 # Largest allowed float64 rounding (rad) of the largest phase lambda*t/hbar;
 # reached at a phase of ~4.5e9 rad.
 PHASE_ROUNDING_LIMIT = 1e-6
+# QuadraticExpansionWarning fires when the relative dot displacement
+# exceeds this fraction of the channel separation.
+EXPANSION_GUARD = 0.3
+# RwaDetuningWarning fires when |lambda_u - lambda_l| exceeds this fraction
+# of the smaller of the two.
+DETUNING_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -95,9 +101,8 @@ class PauliCoefficients:
 
 
 def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
-                               d: float, constants: PhysicalConstants = CONSTANTS,
-                               omega_u: float = 0.0, omega_l: float = 0.0,
-                               expansion_guard: float = 0.3) -> PauliCoefficients:
+                               d: float, omega_u: float = 0.0,
+                               omega_l: float = 0.0) -> PauliCoefficients:
     """Pauli decomposition of the quadratic inter-channel Coulomb coupling.
 
     ``omega_u``/``omega_l`` are the qubit transition frequencies (rad/s)
@@ -106,14 +111,14 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     if not (d > 0):
         raise ValueError("channel separation d must be positive")
     try:
-        q = constants.elementary_charge**2 / (
-            4.0 * math.pi * constants.vacuum_permittivity * d**3)
+        q = CONSTANTS.elementary_charge**2 / (
+            4.0 * math.pi * CONSTANTS.vacuum_permittivity * d**3)
     except (OverflowError, ZeroDivisionError):
         raise NoExchangeCouplingError(
             f"d={d:.3e} m: 4 pi eps0 d**3 leaves the float range") from None
     # The expansion variable is the relative displacement z_l - z_u.
     span = max(abs(l - u) for l in (zl.z00, zl.z11) for u in (zu.z00, zu.z11))
-    if span > expansion_guard * d:
+    if span > EXPANSION_GUARD * d:
         warnings.warn(
             f"relative dot displacement (~{span:.3e} m) approaches the "
             f"channel separation d={d:.3e} m; quadratic Coulomb expansion "
@@ -130,7 +135,7 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     c_xx = -q * zu.z01 * zl.z01
     c_zx = -(q / 2.0) * du * zl.z01
     c_xz = -(q / 2.0) * dl * zu.z01
-    hbar = constants.hbar
+    hbar = CONSTANTS.hbar
     return PauliCoefficients(
         cu_z=cu_z, cl_z=cl_z, cu_x=cu_x, cl_x=cl_x,
         c_zz=c_zz, c_xx=c_xx, c_zx=c_zx, c_xz=c_xz,
@@ -139,20 +144,7 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     )
 
 
-@dataclass(frozen=True)
-class TwoQubitPropagator:
-    """4x4 unitary in the |11>, |10>, |01>, |00> basis."""
-
-    matrix: np.ndarray
-    method: str  # "rwa_closed_form" | "interaction_exact"
-
-    def unitarity_defect(self) -> float:
-        u = self.matrix
-        return float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
-
-
-def rwa_hamiltonian(coeffs: PauliCoefficients,
-                    detuning_threshold: float = 1e-3) -> np.ndarray:
+def rwa_hamiltonian(coeffs: PauliCoefficients) -> np.ndarray:
     """Rotating-wave effective coupling C^xx (s+ s- + s- s+), as a 4x4 matrix.
 
     Warns (RwaDetuningWarning) when lambda_u and lambda_l differ enough that
@@ -160,38 +152,36 @@ def rwa_hamiltonian(coeffs: PauliCoefficients,
     """
     lu, ll = coeffs.lambda_u, coeffs.lambda_l
     denom = min(abs(lu), abs(ll))
-    if denom > 0 and abs(lu - ll) / denom > detuning_threshold:
+    if denom > 0 and abs(lu - ll) / denom > DETUNING_THRESHOLD:
         warnings.warn(
             f"interaction-picture detuning |lambda_u-lambda_l|/min="
-            f"{abs(lu - ll) / denom:.3e} exceeds {detuning_threshold:.1e}; "
+            f"{abs(lu - ll) / denom:.3e} exceeds {DETUNING_THRESHOLD:.1e}; "
             "the exchange term is not exactly co-rotating",
             RwaDetuningWarning, stacklevel=2)
     return coeffs.c_xx * (_upper(_SP) @ _lower(_SM) + _upper(_SM) @ _lower(_SP))
 
 
-def iswap_propagator(coeffs: PauliCoefficients, t: float,
-                     constants: PhysicalConstants = CONSTANTS) -> TwoQubitPropagator:
-    """Closed-form propagator of the rotating-wave exchange coupling.
+def iswap_propagator(coeffs: PauliCoefficients, t: float) -> np.ndarray:
+    """Closed-form 4x4 propagator of the rotating-wave exchange coupling.
 
     xi = t C^xx / hbar; the |10>/|01> block is [[cos xi, -i sin xi],
     [-i sin xi, cos xi]], the |11> and |00> amplitudes are untouched.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
-    xi = t * coeffs.c_xx / constants.hbar
+    xi = t * coeffs.c_xx / CONSTANTS.hbar
     u = np.eye(4, dtype=complex)
     u[1, 1] = u[2, 2] = math.cos(xi)
     u[1, 2] = u[2, 1] = -1j * math.sin(xi)
-    return TwoQubitPropagator(matrix=u, method="rwa_closed_form")
+    return u
 
 
-def gate_time_for_iswap(coeffs: PauliCoefficients,
-                        constants: PhysicalConstants = CONSTANTS) -> float:
+def gate_time_for_iswap(coeffs: PauliCoefficients) -> float:
     """Time at which |xi| reaches pi/2 (the iSWAP point)."""
     if coeffs.c_xx == 0:
         raise NoExchangeCouplingError(
             "c_xx is zero; no exchange coupling, no iSWAP")
-    return (math.pi / 2.0) * constants.hbar / abs(coeffs.c_xx)
+    return (math.pi / 2.0) * CONSTANTS.hbar / abs(coeffs.c_xx)
 
 
 # Constant two-qubit operators for the interaction Hamiltonian.
@@ -210,14 +200,13 @@ _SPU_SZL = _SPU @ _lower(_SZ)
 _SMU_SZL = _SMU @ _lower(_SZ)
 
 
-def interaction_hamiltonian(coeffs: PauliCoefficients, t,
-                            constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def interaction_hamiltonian(coeffs: PauliCoefficients, t) -> np.ndarray:
     """Full interaction-picture Hamiltonian, counter-rotating terms included.
 
     ``t`` may be a scalar (returns 4x4) or an array (returns stacked
     (len(t), 4, 4)).
     """
-    hbar = constants.hbar
+    hbar = CONSTANTS.hbar
     t = np.asarray(t, dtype=float)
     tt = t[..., None, None]
     eu = np.exp(2j * coeffs.lambda_u / hbar * tt)
@@ -232,8 +221,7 @@ def interaction_hamiltonian(coeffs: PauliCoefficients, t,
     return h
 
 
-def interaction_propagator(coeffs: PauliCoefficients, t,
-                           constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def interaction_propagator(coeffs: PauliCoefficients, t) -> np.ndarray:
     """Exact propagator of ``interaction_hamiltonian``, counter-rotating terms
     included.
 
@@ -243,8 +231,7 @@ def interaction_propagator(coeffs: PauliCoefficients, t,
     One eigendecomposition of H0 + V serves every time.  ``t`` may be a
     scalar (returns 4x4) or an array (returns stacked (len(t), 4, 4)).
     """
-    hbar = constants.hbar
-    tt = np.asarray(t, dtype=float)[..., None] / hbar
+    tt = np.asarray(t, dtype=float)[..., None] / CONSTANTS.hbar
     phase = max(abs(coeffs.lambda_u), abs(coeffs.lambda_l)) * np.max(np.abs(tt))
     if phase * 2.0**-52 > PHASE_ROUNDING_LIMIT:
         raise PhaseResolutionError(
@@ -261,18 +248,16 @@ def interaction_propagator(coeffs: PauliCoefficients, t,
     return np.exp(1j * h0 * tt)[..., :, None] * lab
 
 
-def rwa_fidelity(coeffs: PauliCoefficients, times,
-                 constants: PhysicalConstants = CONSTANTS) -> np.ndarray:
+def rwa_fidelity(coeffs: PauliCoefficients, times) -> np.ndarray:
     """Fidelity of the closed-form iSWAP against the exact full propagator
     at each of ``times``."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    full = interaction_propagator(coeffs, times, constants)
-    return np.array([
-        gate_fidelity(TwoQubitPropagator(matrix=u, method="interaction_exact"),
-                      iswap_propagator(coeffs, t, constants))
-        for u, t in zip(full, times)])
+    full = interaction_propagator(coeffs, times)
+    return np.array([gate_fidelity(u, iswap_propagator(coeffs, t))
+                     for u, t in zip(full, times)])
 
 
-def gate_fidelity(U_a: TwoQubitPropagator, U_b: TwoQubitPropagator) -> float:
-    """Global-phase-invariant overlap |Tr(Ua^dag Ub)| / 4."""
-    return float(abs(np.trace(U_a.matrix.conj().T @ U_b.matrix)) / 4.0)
+def gate_fidelity(U_a: np.ndarray, U_b: np.ndarray) -> float:
+    """Global-phase-invariant overlap |Tr(Ua^dag Ub)| / 4 of two 4x4
+    unitaries."""
+    return float(abs(np.trace(U_a.conj().T @ U_b)) / 4.0)

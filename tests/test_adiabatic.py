@@ -5,9 +5,8 @@ from sawqubit import adiabatic, pipeline, potential
 from sawqubit.adiabatic import (DegenerateSplittingError, adiabaticity_beta,
                                 adiabaticity_sweep, find_well_minimum,
                                 representative_time)
-from sawqubit.eigensolver import (NATURAL_MASS, EigenPair, build_grid,
-                                  build_hamiltonian, matrix_element,
-                                  solve_lowest)
+from sawqubit.eigensolver import (EigenPair, build_grid, build_hamiltonian,
+                                  matrix_element, solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
 FD_RTOL = 1e-5
@@ -30,7 +29,7 @@ def test_static_potential_gives_zero_beta():
     # off-center window so the barrier does not create a degenerate pair
     grid = build_grid(0.5, 2.5, 512)
     H = build_hamiltonian(
-        grid, lambda zeta: potential.effective(zeta, 0.0, scales), NATURAL_MASS)
+        grid, lambda zeta: potential.effective(zeta, 0.0, scales))
     pairs = solve_lowest(H, 2, grid=grid)
     beta = adiabaticity_beta(pairs[0], pairs[1], 0.0, grid, scales)
     assert beta == 0.0
@@ -48,8 +47,8 @@ def test_beta_symmetric_in_level_exchange(qubit_solution):
 def test_degenerate_pair_rejected():
     grid = build_grid(-1.0, 1.0, 64)
     psi = np.ones(64) / np.sqrt(64 * grid.h)
-    a = EigenPair(energy=1.0, wavefunction=psi, index=0)
-    b = EigenPair(energy=1.0 + 1e-13, wavefunction=psi, index=1)
+    a = EigenPair(energy=1.0, wavefunction=psi)
+    b = EigenPair(energy=1.0 + 1e-13, wavefunction=psi)
     scales = derive_scales(DeviceConfig())
     with pytest.raises(DegenerateSplittingError):
         adiabaticity_beta(a, b, 0.0, grid, scales)
@@ -90,12 +89,12 @@ def test_beta_scales_linearly_in_saw_amplitude():
 
 def test_sweep_regression(qubit_solution):
     sol = qubit_solution
-    reports = adiabaticity_sweep(sol.trajectory, sol.scales)
-    betas = np.array([r.beta for r in reports])
+    betas = adiabaticity_sweep(sol.trajectory, sol.scales)
+    assert betas.shape == sol.trajectory.times.shape
     assert betas[sol.t_star_index] == pytest.approx(BETA_T_STAR, rel=1e-9)
     assert betas.max() == pytest.approx(BETA_MAX, rel=1e-9)
     assert betas.max() < 1.0  # adiabaticity over the whole period
-    assert all(r.beta >= 0.0 for r in reports)
+    assert np.all(betas >= 0.0)
 
 
 def test_sweep_static_all_zero():
@@ -103,8 +102,8 @@ def test_sweep_static_all_zero():
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 8)
     traj = pipeline.track_dot_levels(times, config, scales)
-    reports = adiabaticity_sweep(traj, scales)
-    assert all(r.beta == 0.0 for r in reports)
+    np.testing.assert_array_equal(adiabaticity_sweep(traj, scales),
+                                  np.zeros(times.size))
 
 
 def test_representative_time_is_deterministic():

@@ -66,7 +66,15 @@ def test_invalid_config_exit_code(tmp_path, capsys):
             (["twoqubit", "--d", "0"], {}, "--d"),
             (["levels", "--levels", "0"], {}, "--levels"),
             (["levels", "--levels", "100000"], {}, "--levels"),
-            (["levels", "--times", "nan"], {}, "--times")):
+            (["levels", "--times", "nan"], {}, "--times"),
+            # finite scales, but the natural-unit V0 + V_S overflows, or
+            # the dot window's kinetic term does
+            (["levels"], {"a_m": 1e100, "l0_m": 1e-54, "gamma": 1.0},
+             "gamma:"),
+            (["adiabaticity"], {"a_m": 1e100, "l0_m": 1e-54, "gamma": 1.0},
+             "gamma:"),
+            (["levels", "--times", "0.05"],
+             {"a_m": 1e100, "saw_wavelength_m": 1e-60}, "saw_wavelength:")):
         cfg.write_text(json.dumps(config))
         assert run(args + ["--config", str(cfg), "--out", str(out)]) == 2
         assert culprit in capsys.readouterr().err
@@ -108,6 +116,26 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         assert run(args + ["--config", str(cfg),
                            "--out", str(tmp_path / "out")]) == 3
         assert culprit in capsys.readouterr().err
+
+
+def test_console_times_keep_their_digits(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"saw_wavelength_m": 1e-12}))
+    assert run(["derive", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 0
+    assert "T_period = 3.3546e-16 s" in capsys.readouterr().out
+
+
+def test_beta_csv_splitting_is_e1_minus_e0(tmp_path):
+    out = tmp_path / "out"
+    assert run(["adiabaticity", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "beta.csv", delimiter=",", skiprows=1)
+    summary = json.loads((out / "adiabaticity_summary.json").read_text())
+    t, e0, e1, splitting = rows[:, 0], rows[:, 2], rows[:, 3], rows[:, 4]
+    np.testing.assert_array_equal(splitting, e1 - e0)
+    assert np.all(splitting > 0)
+    assert splitting[t == summary["t_star"]].tolist() == \
+        [summary["splitting_at_t_star"]]
 
 
 def test_derive_determinism(tmp_path):
@@ -286,21 +314,33 @@ FLAT_CONFIGS = st.dictionaries(
     CONFIG_VALUES, max_size=4)
 
 
+CONTRACT_COMMANDS = {
+    "derive": ["derive"],
+    "twoqubit": ["twoqubit", "--fixture-paper-z"],
+    # one dot-window solve, a few ms for a valid config
+    "levels": ["levels", "--times", "0.05", "--levels", "2"],
+}
+
+
 @settings(max_examples=100, deadline=None)
 @given(config=FLAT_CONFIGS,
        d=st.one_of(st.none(), st.sampled_from(EXTREME_NUMBERS), st.floats()),
-       fixture=st.booleans())
-@example(config={"l0_m": 1e300}, d=None, fixture=False)
-@example(config={"a_m": 1e-300}, d=None, fixture=False)
-def test_exit_code_contract(tmp_path_factory, config, d, fixture):
-    """Any flat JSON config, with an optional --d, exits in {0, 2, 3, 4}
-    from ``derive`` and ``twoqubit --fixture-paper-z`` without raising;
-    neither solves an eigenproblem."""
+       command=st.sampled_from(sorted(CONTRACT_COMMANDS)))
+@example(config={"l0_m": 1e300}, d=None, command="derive")
+@example(config={"a_m": 1e-300}, d=None, command="derive")
+@example(config={"a_m": 1e100, "l0_m": 1e-54, "gamma": 1.0}, d=None,
+         command="levels")
+@example(config={"a_m": 1e100, "saw_wavelength_m": 1e-60}, d=None,
+         command="levels")
+def test_exit_code_contract(tmp_path_factory, config, d, command):
+    """Any flat JSON config exits in {0, 2, 3, 4} without raising from
+    ``derive``, ``twoqubit --fixture-paper-z`` (with an optional --d) and
+    ``levels`` at one time with two levels."""
     tmp = tmp_path_factory.mktemp("contract")
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(config))
-    args = ["twoqubit", "--fixture-paper-z"] if fixture else ["derive"]
-    if fixture and d is not None:
+    args = list(CONTRACT_COMMANDS[command])
+    if command == "twoqubit" and d is not None:
         args.append(f"--d={d!r}")
     assert run(args + ["--config", str(cfg), "--out", str(tmp / "out")]) in \
         (0, 2, 3, 4)

@@ -5,8 +5,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from sawqubit import oracles, pipeline
-from sawqubit.eigensolver import (NATURAL_MASS, build_grid, build_hamiltonian,
-                                  classify_bound, matrix_element, solve_lowest)
+from sawqubit.eigensolver import (build_grid, build_hamiltonian,
+                                  classify_bound, matrix_element,
+                                  solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
 ORTHO_TOL = 1e-8
@@ -38,7 +39,7 @@ def test_grid_rejects_inverted_bounds():
 
 def test_free_particle_matrix_structure():
     grid = build_grid(-1.0, 1.0, 64)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: 0.0 * z)
     kin = 1.0 / grid.h**2  # hbar^2/(2 m h^2) with m = 1/2
     np.testing.assert_allclose(H.diagonal, 2.0 * kin)
     np.testing.assert_allclose(H.off_diagonal, -kin)
@@ -49,8 +50,7 @@ def test_free_particle_matrix_structure():
 def test_rejects_non_finite_potential():
     grid = build_grid(-1.0, 1.0, 16)
     with pytest.raises(ValueError, match="non-finite"):
-        build_hamiltonian(grid, lambda z: np.where(z > 0, np.inf, 0.0),
-                          NATURAL_MASS)
+        build_hamiltonian(grid, lambda z: np.where(z > 0, np.inf, 0.0))
 
 
 def test_sech_well_oracle(oracle_results):
@@ -75,8 +75,7 @@ def test_convergence_order_oracle(oracle_results):
 
 def test_orthonormality():
     grid = build_grid(-12.0, 12.0, 2048)
-    H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2,
-                          NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2)
     pairs = solve_lowest(H, 4, grid=grid)
     ones = np.ones(grid.n_points)
     for i, p in enumerate(pairs):
@@ -90,23 +89,21 @@ def test_orthonormality():
 def test_ground_energy_near_variational_bound():
     exact = oracles.sech_well_energies(25.0, 1)[0]
     grid = build_grid(-12.0, 12.0, 4096)
-    H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2,
-                          NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2)
     ground = solve_lowest(H, 1, grid=grid)[0].energy
     assert ground >= exact - SPECTRUM_RTOL * abs(exact)
 
 
 def test_energies_nondecreasing():
     grid = build_grid(-12.0, 12.0, 1024)
-    H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2,
-                          NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2)
     energies = [p.energy for p in solve_lowest(H, 5, grid=grid)]
     assert energies == sorted(energies)
 
 
 def test_solve_count_bounds():
     grid = build_grid(-1.0, 1.0, 16)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: 0.0 * z)
     with pytest.raises(ValueError):
         solve_lowest(H, 0, grid=grid)
     with pytest.raises(ValueError):
@@ -115,7 +112,7 @@ def test_solve_count_bounds():
 
 def test_sign_convention():
     grid = build_grid(-10.0, 10.0, 1024)
-    H = build_hamiltonian(grid, lambda z: z ** 2, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: z ** 2)
     for p in solve_lowest(H, 3, grid=grid):
         i = int(np.argmax(np.abs(p.wavefunction)))
         assert p.wavefunction[i] > 0
@@ -124,7 +121,7 @@ def test_sign_convention():
 def test_harmonic_position_element():
     # <0|z|1> = sqrt(hbar / (2 m omega0)) = sqrt(1/2) for V = z^2, m = 1/2
     grid = build_grid(-10.0, 10.0, 4096)
-    H = build_hamiltonian(grid, lambda z: z ** 2, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: z ** 2)
     p0, p1 = solve_lowest(H, 2, grid=grid)
     value = matrix_element(p0, p1, grid.points, grid)
     assert abs(value) == pytest.approx(math.sqrt(0.5), rel=SPECTRUM_RTOL)
@@ -132,7 +129,7 @@ def test_harmonic_position_element():
 
 def test_classify_bound_harmonic_ground():
     grid = build_grid(-10.0, 10.0, 2048)
-    H = build_hamiltonian(grid, lambda z: z ** 2, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: z ** 2)
     ground = solve_lowest(H, 1, grid=grid)[0]
     # sigma = sqrt(hbar/(2 m omega0)) = sqrt(1/2); window +/- 5 sigma
     cls = classify_bound(ground, grid, 0.0, 10.0 * math.sqrt(0.5))
@@ -142,7 +139,7 @@ def test_classify_bound_harmonic_ground():
 
 def test_classify_bound_delocalized_state():
     grid = build_grid(0.0, 1.0, 512)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: 0.0 * z)
     ground = solve_lowest(H, 1, grid=grid)[0]
     cls = classify_bound(ground, grid, 0.5, 0.1)
     assert not cls.bound
@@ -150,7 +147,7 @@ def test_classify_bound_delocalized_state():
 
 def test_classify_bound_window_outside_grid():
     grid = build_grid(0.0, 1.0, 64)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z, NATURAL_MASS)
+    H = build_hamiltonian(grid, lambda z: 0.0 * z)
     ground = solve_lowest(H, 1, grid=grid)[0]
     with pytest.raises(ValueError):
         classify_bound(ground, grid, 5.0, 0.5)
@@ -159,10 +156,10 @@ def test_classify_bound_window_outside_grid():
 def test_matrix_element_grid_mismatch():
     grid_a = build_grid(-1.0, 1.0, 64)
     grid_b = build_grid(-1.0, 1.0, 128)
-    pa = solve_lowest(build_hamiltonian(grid_a, lambda z: z ** 2,
-                                        NATURAL_MASS), 1, grid=grid_a)[0]
-    pb = solve_lowest(build_hamiltonian(grid_b, lambda z: z ** 2,
-                                        NATURAL_MASS), 1, grid=grid_b)[0]
+    pa = solve_lowest(build_hamiltonian(grid_a, lambda z: z ** 2), 1,
+                      grid=grid_a)[0]
+    pb = solve_lowest(build_hamiltonian(grid_b, lambda z: z ** 2), 1,
+                      grid=grid_b)[0]
     with pytest.raises(ValueError):
         matrix_element(pa, pb, grid_a.points, grid_a)
 
@@ -213,7 +210,7 @@ def test_crossing_levels_follow_character():
     prev = None
     left_index = None
     for delta in np.linspace(2.0, -2.0, 9):
-        H = build_hamiltonian(grid, double_well(delta), NATURAL_MASS)
+        H = build_hamiltonian(grid, double_well(delta))
         pairs = solve_lowest(H, 2, grid=grid)
         if prev is None:
             # level 0 starts in the deeper (left) well

