@@ -227,27 +227,27 @@ def cmd_levels(args) -> int:
 def cmd_adiabaticity(args) -> int:
     t_start = time.perf_counter()
     config = _load(args)
-    sol = pipeline.solve_qubit(config)
-    scales = sol.scales
+    scales = derive_scales(config)
+    traj, i = pipeline.mirrored_trajectory(config, scales)
     u = _Units(args.units, scales)
-    betas = adiabatic.adiabaticity_sweep(sol.trajectory, scales)
+    betas = adiabatic.adiabaticity_sweep(traj, scales)
     os.makedirs(args.out, exist_ok=True)
-    e0, e1 = scales.energy_to_si(sol.trajectory.energies()).T
+    e0, e1 = scales.energy_to_si(traj.energies()).T
     csv_path = os.path.join(args.out, "beta.csv")
     _write_csv(csv_path,
                [u.col("t", "s"), "beta", u.col("E0", "J"), u.col("E1", "J"),
                 u.col("splitting", "J")],
-               [u.val(sol.trajectory.times, "s"), betas, u.val(e0, "J"),
+               [u.val(traj.times, "s"), betas, u.val(e0, "J"),
                 u.val(e1, "J"), u.val(e1 - e0, "J")])
-    beta_star = betas[sol.t_star_index]
+    beta_star = betas[i]
     summary = {
-        "t_star": u.val(sol.t_star, "s"),
+        "t_star": u.val(float(traj.times[i]), "s"),
         "beta_at_t_star": float(beta_star),
         "max_beta": float(betas.max()),
-        "E0_at_t_star": u.val(sol.E0, "J"),
-        "E1_at_t_star": u.val(sol.E1, "J"),
-        "splitting_at_t_star": u.val(sol.splitting, "J"),
-        "well_center_over_a": sol.well_center,
+        "E0_at_t_star": u.val(float(e0[i]), "J"),
+        "E1_at_t_star": u.val(float(e1[i]), "J"),
+        "splitting_at_t_star": u.val(float(e1[i] - e0[i]), "J"),
+        "well_center_over_a": float(traj.centers[i]),
         "units": args.units,
     }
     json_path = os.path.join(args.out, "adiabaticity_summary.json")

@@ -63,12 +63,6 @@ class TridiagonalHamiltonian:
     def n(self) -> int:
         return len(self.diagonal)
 
-    def dense(self) -> np.ndarray:
-        m = np.diag(self.diagonal)
-        m += np.diag(self.off_diagonal, 1)
-        m += np.diag(self.off_diagonal, -1)
-        return m
-
     def apply(self, psi: np.ndarray) -> np.ndarray:
         out = self.diagonal * psi
         out[:-1] += self.off_diagonal * psi[1:]

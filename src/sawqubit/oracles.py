@@ -6,8 +6,9 @@ solution, finite-difference derivative checks, time-ordered product of the
 two-qubit interaction Hamiltonian) and compares the production code
 against it.  The validation subcommand and the test suite both run
 these; keeping them in one place means the shipped binary can re-verify
-itself on any machine.  ``scalar_rk4``, the step-by-step RK4 loop, is a
-reference for the tests only and stays out of ``run_all``.
+itself on any machine.  Two references serve the tests only and stay out
+of ``run_all``: ``scalar_rk4``, the step-by-step RK4 loop, and
+``track_dot_levels``, the dot levels solved at every sample.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics, potential, twoqubit
+from . import dynamics, pipeline, potential, twoqubit
 from .constants import CONSTANTS
 from .eigensolver import build_grid, build_hamiltonian, solve_lowest
-from .params import DeviceConfig, derive_scales
+from .params import DeviceConfig, DerivedScales, derive_scales
 
 SPECTRUM_RTOL = 1e-4
 CONVERGENCE_ORDER_TOL = 0.1
@@ -29,6 +30,11 @@ FORCE_RTOL = 1e-8
 SLOPE_TOL = 0.05
 PROPAGATOR_ATOL = 1e-5
 UNITARITY_ATOL = 1e-12
+
+GRID_POINTS = 4096  # production resolution of the spectrum oracles
+SECH_DEPTH = 25.0  # depth of the sech^2 test well: five bound levels
+COULOMB_D = 1e-6  # channel separation of the Coulomb oracles (m)
+PROPAGATOR_STEPS = 3200  # midpoint steps of the time-ordered product
 
 
 @dataclass
@@ -58,11 +64,10 @@ def sech_well_energies(depth: float, count: int) -> np.ndarray:
     return -np.array([(s - n) ** 2 for n in range(count)])
 
 
-def check_sech_well(depth: float = 25.0, count: int = 3,
-                    n_points: int = 4096) -> OracleResult:
-    exact = sech_well_energies(depth, count)
-    num = _solve_energies(lambda z: -depth / np.cosh(z) ** 2,
-                          12.0, n_points, count)
+def check_sech_well() -> OracleResult:
+    exact = sech_well_energies(SECH_DEPTH, 3)
+    num = _solve_energies(lambda z: -SECH_DEPTH / np.cosh(z) ** 2,
+                          12.0, GRID_POINTS, 3)
     rel = np.abs(num - exact) / np.abs(exact)
     return OracleResult(
         name="sech_well_spectrum",
@@ -73,15 +78,14 @@ def check_sech_well(depth: float = 25.0, count: int = 3,
                   "exact": exact.tolist()})
 
 
-def check_box(length: float = 1.0, count: int = 3,
-              n_points: int = 4096) -> OracleResult:
-    """Particle in a box; the grid places the hard walls exactly on the
+def check_box() -> OracleResult:
+    """Particle in a unit box; the grid places the hard walls exactly on the
     Dirichlet boundary one spacing outside the first/last node."""
-    h = length / (n_points + 1)
-    grid = build_grid(h, length - h, n_points)
+    h = 1.0 / (GRID_POINTS + 1)
+    grid = build_grid(h, 1.0 - h, GRID_POINTS)
     H = build_hamiltonian(grid, lambda z: 0.0 * z)
-    num = np.array([p.energy for p in solve_lowest(H, count, grid=grid)])
-    exact = np.array([(n * math.pi / length) ** 2 for n in range(1, count + 1)])
+    num = np.array([p.energy for p in solve_lowest(H, 3, grid=grid)])
+    exact = np.array([(n * math.pi) ** 2 for n in range(1, 4)])
     rel = np.abs(num - exact) / exact
     return OracleResult(
         name="particle_in_box",
@@ -90,10 +94,10 @@ def check_box(length: float = 1.0, count: int = 3,
                   "tolerance": SPECTRUM_RTOL})
 
 
-def check_harmonic(count: int = 5, n_points: int = 4096) -> OracleResult:
+def check_harmonic() -> OracleResult:
     """V = z^2 with mass 1/2 gives omega0 = 2 and levels 2n + 1."""
-    num = _solve_energies(lambda z: z ** 2, 10.0, n_points, count)
-    exact = np.array([2.0 * n + 1.0 for n in range(count)])
+    num = _solve_energies(lambda z: z ** 2, 10.0, GRID_POINTS, 5)
+    exact = np.array([2.0 * n + 1.0 for n in range(5)])
     rel = np.abs(num - exact) / exact
     spacings = np.diff(num)
     return OracleResult(
@@ -105,12 +109,12 @@ def check_harmonic(count: int = 5, n_points: int = 4096) -> OracleResult:
                   "tolerance": SPECTRUM_RTOL})
 
 
-def check_convergence_order(depth: float = 25.0) -> OracleResult:
+def check_convergence_order() -> OracleResult:
     """Ground-energy error of the sech^2 well under grid halving."""
-    exact = sech_well_energies(depth, 1)[0]
+    exact = sech_well_energies(SECH_DEPTH, 1)[0]
     errs = []
     for n_points in (512, 1024, 2048):
-        e = _solve_energies(lambda z: -depth / np.cosh(z) ** 2,
+        e = _solve_energies(lambda z: -SECH_DEPTH / np.cosh(z) ** 2,
                             12.0, n_points, 1)[0]
         errs.append(abs(e - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
@@ -123,12 +127,13 @@ def check_convergence_order(depth: float = 25.0) -> OracleResult:
                   "errors": errs})
 
 
-def check_rwa_integration(omega0: float = 0.0, omega1: float = 1e6,
-                          coupling_ratio: float = 1e-3) -> OracleResult:
-    """Resonant two-level run vs the analytic rotating-wave population."""
-    d01 = coupling_ratio * (omega1 - omega0)
+def check_rwa_integration() -> OracleResult:
+    """Resonant two-level run vs the analytic rotating-wave population, at
+    levels 0 and 1e6 rad/s with D01 = 1e-3 of the drive frequency."""
+    omega1 = 1e6
+    d01 = 1e-3 * omega1
     params = dynamics.RabiParameters(
-        omega0=omega0, omega1=omega1, omega_drive=omega1 - omega0,
+        omega0=0.0, omega1=omega1, omega_drive=omega1,
         D=np.array([[0.0, d01], [d01, 0.0]]))
     t_end = 2.0 * math.pi / d01  # one full flip cycle
     dt = dynamics.suggested_step(params)
@@ -203,9 +208,10 @@ def scalar_rk4(params: dynamics.RabiParameters, t_span: tuple[float, float],
     return dynamics.RabiTrajectory(times=times, c0=out0, c1=out1)
 
 
-def check_saw_time_derivative(config: DeviceConfig | None = None) -> OracleResult:
-    """Analytic d/dt of the traveling wave vs a central difference."""
-    config = config or DeviceConfig()
+def check_saw_time_derivative() -> OracleResult:
+    """Analytic d/dt of the traveling wave vs a central difference, for the
+    default device."""
+    config = DeviceConfig()
     scales = derive_scales(config)
     dt = scales.T_period / 1e6
     half = 1.5 * config.saw_wavelength / config.a
@@ -223,12 +229,13 @@ def check_saw_time_derivative(config: DeviceConfig | None = None) -> OracleResul
                   "tolerance": DERIVATIVE_RTOL})
 
 
-def check_coulomb_force_consistency(d: float = 1e-6) -> OracleResult:
+def check_coulomb_force_consistency() -> OracleResult:
     """Numerical -d/dz of the exact pair potential vs the closed-form force.
 
     The potential is a function of the relative coordinate z = z_l - z_u, so
     its derivative equals the force on the lower electron with sign flipped.
     """
+    d = COULOMB_D
     z = np.linspace(-0.5 * d, 0.5 * d, 11)
     z = z[np.abs(z) > 1e-12 * d]
     dz = 1e-7 * d
@@ -243,8 +250,9 @@ def check_coulomb_force_consistency(d: float = 1e-6) -> OracleResult:
                   "tolerance": FORCE_RTOL})
 
 
-def check_quadratic_coulomb_slope(d: float = 1e-6) -> OracleResult:
+def check_quadratic_coulomb_slope() -> OracleResult:
     """log-log slope of the quadratic-expansion error over z/d in [1e-3, 1e-1]."""
+    d = COULOMB_D
     ratios = np.logspace(-3, -1, 9)
     z = ratios * d
     exact = potential.coulomb_potential_exact(z, d)
@@ -258,6 +266,37 @@ def check_quadratic_coulomb_slope(d: float = 1e-6) -> OracleResult:
                   "tolerance": SLOPE_TOL})
 
 
+# Single-qubit operators in the (|1>, |0>) basis of twoqubit; two-qubit
+# operators are kron(upper, lower).
+_SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # |1><0|
+_SM = _SP.T  # |0><1|
+_SZ = np.diag([1.0, -1.0])
+_ID = np.eye(2)
+
+
+def interaction_hamiltonian(coeffs: twoqubit.PauliCoefficients,
+                            t) -> np.ndarray:
+    """Full interaction-picture Hamiltonian, counter-rotating terms included.
+
+    ``t`` may be a scalar (returns 4x4) or an array (returns stacked
+    (len(t), 4, 4)).
+    """
+    hbar = CONSTANTS.hbar
+    k = np.kron
+    tt = np.asarray(t, dtype=float)[..., None, None]
+    eu = np.exp(2j * coeffs.lambda_u / hbar * tt)
+    el = np.exp(2j * coeffs.lambda_l / hbar * tt)
+    h = coeffs.c_zz * k(_SZ, _SZ) + np.zeros_like(eu)
+    h = h + coeffs.cu_x * (eu * k(_SP, _ID) + eu.conj() * k(_SM, _ID))
+    h = h + coeffs.cl_x * (el * k(_ID, _SP) + el.conj() * k(_ID, _SM))
+    h = h + coeffs.c_xx * (eu * el * k(_SP, _SP) + eu * el.conj() * k(_SP, _SM)
+                           + (eu * el).conj() * k(_SM, _SM)
+                           + eu.conj() * el * k(_SM, _SP))
+    h = h + coeffs.c_zx * (el * k(_SZ, _SP) + el.conj() * k(_SZ, _SM))
+    h = h + coeffs.c_xz * (eu * k(_SP, _SZ) + eu.conj() * k(_SM, _SZ))
+    return h
+
+
 def time_ordered_propagator(coeffs: twoqubit.PauliCoefficients, t: float,
                             n_steps: int) -> np.ndarray:
     """Product of ``n_steps`` midpoint-step exponentials of the full
@@ -269,7 +308,7 @@ def time_ordered_propagator(coeffs: twoqubit.PauliCoefficients, t: float,
     """
     dt = t / n_steps
     mids = (np.arange(n_steps) + 0.5) * dt
-    w, v = np.linalg.eigh(twoqubit.interaction_hamiltonian(coeffs, mids))
+    w, v = np.linalg.eigh(interaction_hamiltonian(coeffs, mids))
     u = (v * np.exp(-1j * w * dt / CONSTANTS.hbar)[:, None, :]) @ \
         v.conj().swapaxes(1, 2)
     while len(u) > 1:
@@ -279,37 +318,55 @@ def time_ordered_propagator(coeffs: twoqubit.PauliCoefficients, t: float,
     return u[0]
 
 
-def check_interaction_propagator(ratio: float = 0.1,
-                                 n_steps: int = 3200) -> OracleResult:
+def check_interaction_propagator() -> OracleResult:
     """Exact two-qubit propagator vs the time-ordered midpoint product.
 
-    All six Pauli couplings are nonzero and the two frequencies differ, so
-    every counter-rotating term enters; the run spans one iSWAP gate time.
+    All six Pauli couplings are nonzero, the largest a tenth of the level
+    term, and the two frequencies differ, so every counter-rotating term
+    enters; the run spans one iSWAP gate time.
     """
     lam = 4e-23
-    c = ratio * lam
+    c = 0.1 * lam
     coeffs = twoqubit.PauliCoefficients(
         cu_z=0.0, cl_z=0.0, cu_x=0.3 * c, cl_x=-0.2 * c, c_zz=0.5 * c,
         c_xx=c, c_zx=0.4 * c, c_xz=-0.25 * c,
         lambda_u=lam, lambda_l=1.02 * lam)
     t = twoqubit.gate_time_for_iswap(coeffs)
     exact = twoqubit.interaction_propagator(coeffs, t)
-    dev = float(np.max(np.abs(exact - time_ordered_propagator(coeffs, t,
-                                                                n_steps))))
+    dev = float(np.max(np.abs(exact - time_ordered_propagator(
+        coeffs, t, PROPAGATOR_STEPS))))
     defect = float(np.max(np.abs(exact.conj().T @ exact - np.eye(4))))
     return OracleResult(
         name="interaction_propagator",
         passed=bool(dev <= PROPAGATOR_ATOL and defect <= UNITARITY_ATOL),
         measured={"max_abs_deviation": dev, "tolerance": PROPAGATOR_ATOL,
-                  "unitarity_defect": defect, "steps": n_steps})
+                  "unitarity_defect": defect, "steps": PROPAGATOR_STEPS})
 
 
-def run_all(n_points: int = 4096) -> list[OracleResult]:
+def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
+                     count: int = 2) -> pipeline.DotTrajectory:
+    """Dot-level trajectory with every sample solved, sign-aligned step to
+    step; the reference for ``pipeline.mirrored_trajectory``.
+
+    ``times`` must be nonempty and strictly monotonic.
+    """
+    times = np.asarray(times, dtype=float)
+    diffs = np.diff(times)
+    if times.size < 1 or (times.size > 1
+                          and not (np.all(diffs > 0) or np.all(diffs < 0))):
+        raise ValueError("times must be nonempty and strictly monotonic")
+    levels, grids, centers = zip(*(
+        pipeline.solve_dot_levels(t, config, scales, count) for t in times))
+    return pipeline.aligned_trajectory(times, list(levels), list(grids),
+                                       np.array(centers))
+
+
+def run_all() -> list[OracleResult]:
     """The full oracle suite at production resolution."""
     return [
-        check_sech_well(n_points=n_points),
-        check_box(n_points=n_points),
-        check_harmonic(n_points=n_points),
+        check_sech_well(),
+        check_box(),
+        check_harmonic(),
         check_convergence_order(),
         check_rwa_integration(),
         check_saw_time_derivative(),

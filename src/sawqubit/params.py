@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, asdict
 
 from .constants import CONSTANTS
@@ -178,10 +179,12 @@ def derive_scales(config: DeviceConfig) -> DerivedScales:
     Raises ConfigError if a finite config value takes a derived scale, or
     a natural-unit parameter, to inf, or to 0 from a nonzero value.  The
     natural-unit parameters include the potential's range V0 + V_S, the
-    grid extents, and the Gershgorin bound 4/h^2 + V0 + V_S of the dot
-    window's Hamiltonian, the largest magnitude the eigensolver meets.
-    The scales are checked in order, so the field named is the last one
-    to enter the scale that fails.
+    grid extents, the Gershgorin bound 4/h^2 + V0 + V_S of the dot
+    window's Hamiltonian, the largest magnitude the eigensolver meets,
+    and the square of twice it, which bounds beta's (E1 - E0)^2.  The
+    scales are checked in order, so the field named is the last one to
+    enter the scale that fails; the last check names the field of the
+    larger term, gamma (depth) or saw_wavelength (kinetic).
     """
     config.validate()
     hbar = CONSTANTS.hbar
@@ -220,9 +223,13 @@ def derive_scales(config: DeviceConfig) -> DerivedScales:
     _scale("4 lambda/a", "saw_wavelength", config.saw_wavelength,
            lambda: 4.0 * config.saw_wavelength / config.a)
     h = config.saw_wavelength / config.a / (DOT_WINDOW_POINTS - 1)
-    _scale("dot-window Gershgorin bound 4/h^2 + V0_nat + V_S_nat",
-           "saw_wavelength", config.saw_wavelength,
-           lambda: 4.0 / h**2 + depth)
+    bound = _scale("dot-window Gershgorin bound 4/h^2 + V0_nat + V_S_nat",
+                   "saw_wavelength", config.saw_wavelength,
+                   lambda: 4.0 / h**2 + depth)
+    if 2.0 * bound > math.sqrt(sys.float_info.max):
+        attr = "gamma" if depth >= 4.0 / h**2 else "saw_wavelength"
+        raise ConfigError(attr, f"{getattr(config, attr)!r} takes (2 x the "
+                                "Gershgorin bound)^2 out of the float range")
     return scales
 
 

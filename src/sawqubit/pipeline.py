@@ -1,9 +1,10 @@
 """High-level workflow shared by the CLI and the validation suite.
 
-Ties the modules together: default grid and time sampling, level tracking
-over one SAW period, selection of the representative time of strongest
-confinement, and the single-qubit quantities (splitting, drive coupling)
-evaluated there.
+Ties the modules together: default grid and time sampling, selection of
+the representative time t* of strongest confinement, the single-qubit
+quantities (splitting, drive coupling) evaluated there, and the
+sign-aligned level trajectory over one SAW period that the adiabaticity
+sweep reads.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ from .params import (DOT_WINDOW_POINTS, DeviceConfig, DerivedScales,
 
 DEFAULT_N_POINTS = 4096
 DEFAULT_N_TIMES = 64
-DEFAULT_N_LEVELS = 3
-QUBIT_LEVELS = 2  # levels solved per sample by solve_qubit: the qubit pair
+QUBIT_LEVELS = 2  # levels solved per sample for the qubit: the lowest pair
 WEAK_DRIVE_RATIO = 0.1  # largest |D01|, |D11 - D00| over the drive frequency
 RABI_SPAN_PERIODS = 1.5  # default Rabi run, in estimated flip periods
 
@@ -66,8 +66,7 @@ def dot_grid(center: float, config: DeviceConfig) -> Grid:
 
 
 def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
-                     count: int = DEFAULT_N_LEVELS
-                     ) -> tuple[list, Grid, float]:
+                     count: int) -> tuple[list, Grid, float]:
     """Lowest ``count`` levels of the well nearest the barrier at SI time t.
 
     Returns (eigenpairs, window grid, well center in z/a units).  The window
@@ -87,26 +86,8 @@ def _solve_window(t: float, center: float, config: DeviceConfig,
     return solve_lowest(H, count, grid=grid), grid
 
 
-def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
-                     count: int = 2) -> "DotTrajectory":
-    """Dot-level trajectory over the SAW period, sign-aligned step to step.
-
-    ``times`` must be nonempty and strictly monotonic.  Every sample is
-    solved; ``solve_qubit`` solves only half of its period.
-    """
-    times = np.asarray(times, dtype=float)
-    diffs = np.diff(times)
-    if times.size < 1 or (times.size > 1
-                          and not (np.all(diffs > 0) or np.all(diffs < 0))):
-        raise ValueError("times must be nonempty and strictly monotonic")
-    levels, grids, centers = zip(*(
-        solve_dot_levels(t, config, scales, count) for t in times))
-    return _aligned_trajectory(times, list(levels), list(grids),
-                               np.array(centers))
-
-
-def _aligned_trajectory(times: np.ndarray, levels: list, grids: list,
-                        centers: np.ndarray) -> "DotTrajectory":
+def aligned_trajectory(times: np.ndarray, levels: list, grids: list,
+                       centers: np.ndarray) -> "DotTrajectory":
     """Sign-align each level to the previous sample, in time order.
 
     Consecutive windows overlap almost entirely; overlaps are evaluated by
@@ -154,9 +135,8 @@ class QubitSolution:
     config: DeviceConfig
     scales: DerivedScales
     grid: Grid  # window grid at t*
-    trajectory: DotTrajectory
+    levels: list  # the QUBIT_LEVELS eigenpairs at t*, solver sign convention
     t_star: float  # s
-    t_star_index: int
     E0: float  # J
     E1: float  # J
     splitting: float  # J
@@ -165,39 +145,51 @@ class QubitSolution:
     well_center: float  # z/a units, at t*
 
 
-def solve_qubit(config: DeviceConfig,
-                n_times: int = DEFAULT_N_TIMES) -> QubitSolution:
-    """Track the dot levels over a SAW period and evaluate them at t*.
-
-    The potential obeys V(z, T - t) = V(-z, t): the barrier is even and
-    omega T = 2 pi.  The midpoint samples pair up as t_{n-1-i} = T - t_i,
-    so only the half of the period holding t* is solved; each sample of
-    the other half takes the mirror image (z -> -z) of its partner.
-    """
-    scales = derive_scales(config)
-    times = default_times(scales, n_times)
+# The potential obeys V(z, T - t) = V(-z, t): the barrier is even and
+# omega T = 2 pi.  The midpoint samples pair up as t_{n-1-i} = T - t_i, and
+# each well of the second half is the mirror image (z -> -z) of its
+# partner's, equally deep.  So t* is searched over the first half only,
+# where no mirror-image partner can tie with it.
+def _first_half(config: DeviceConfig, scales: DerivedScales
+                ) -> tuple[np.ndarray, np.ndarray, int]:
+    """First-half samples, their well centers and the index of t*."""
+    times = default_times(scales)[:DEFAULT_N_TIMES // 2]
     centers = np.array([adiabatic.find_well_minimum(t, config, scales)
                         for t in times])
-    idx = adiabatic.representative_time(times, centers, scales)
-    n = times.size
-    solved = range(n // 2, n) if idx >= n // 2 else range((n + 1) // 2)
-    levels, grids = [None] * n, [None] * n
-    for i in solved:
-        levels[i], grids[i] = _solve_window(times[i], centers[i], config,
-                                            scales, QUBIT_LEVELS)
-    for i in range(n):
-        if levels[i] is None:
-            pairs, grid = levels[n - 1 - i], grids[n - 1 - i]
-            levels[i] = [EigenPair(energy=p.energy,
-                                   wavefunction=p.wavefunction[::-1])
-                         for p in pairs]
-            grids[i] = Grid(-grid.z_max, -grid.z_min, grid.n_points)
-    traj = _aligned_trajectory(times, levels, grids, centers)
+    return times, centers, adiabatic.representative_time(times, centers,
+                                                         scales)
+
+
+def solve_qubit(config: DeviceConfig) -> QubitSolution:
+    """The qubit levels at t*, the sample of strongest confinement."""
+    scales = derive_scales(config)
+    times, centers, idx = _first_half(config, scales)
+    levels, grid = _solve_window(times[idx], centers[idx], config, scales,
+                                 QUBIT_LEVELS)
     return QubitSolution(
-        config=config, scales=scales, grid=traj.grids[idx], trajectory=traj,
-        t_star=float(times[idx]), t_star_index=idx,
-        **_si_levels(traj.levels[idx], scales),
-        well_center=float(traj.centers[idx]))
+        config=config, scales=scales, grid=grid, levels=levels,
+        t_star=float(times[idx]), **_si_levels(levels, scales),
+        well_center=float(centers[idx]))
+
+
+def mirrored_trajectory(config: DeviceConfig, scales: DerivedScales
+                        ) -> tuple[DotTrajectory, int]:
+    """Sign-aligned qubit levels over the SAW period, and the index of t*.
+
+    The first half of the samples is solved; each sample of the second
+    half takes the mirror image of its partner's levels, window grid and
+    well center.
+    """
+    half, centers, idx = _first_half(config, scales)
+    levels, grids = map(list, zip(*(
+        _solve_window(t, c, config, scales, QUBIT_LEVELS)
+        for t, c in zip(half, centers))))
+    levels += [[EigenPair(energy=p.energy, wavefunction=p.wavefunction[::-1])
+                for p in pairs] for pairs in levels[::-1]]
+    grids += [Grid(-g.z_max, -g.z_min, g.n_points) for g in grids[::-1]]
+    traj = aligned_trajectory(default_times(scales), levels, grids,
+                              np.concatenate([centers, -centers[::-1]]))
+    return traj, idx
 
 
 def _si_levels(pairs, scales: DerivedScales) -> dict:
@@ -213,7 +205,7 @@ def rescale_solution(sol: QubitSolution,
     """The solution for another effective mass, without solving again.
 
     The mass enters only the SI scales: the natural-unit problem, and so
-    the trajectory, t* and the dot window, are shared.  Raises ValueError
+    t*, the dot window and the t* levels, are shared.  Raises ValueError
     unless the natural parameters of both masses agree bit for bit.
     """
     config = replace(sol.config, effective_mass_ratio=effective_mass_ratio)
@@ -224,8 +216,7 @@ def rescale_solution(sol: QubitSolution,
         raise ValueError("the natural-unit problem depends on the mass here; "
                          "solve it again instead")
     return replace(sol, config=config, scales=scales,
-                   **_si_levels(sol.trajectory.levels[sol.t_star_index],
-                                scales))
+                   **_si_levels(sol.levels, scales))
 
 
 def rabi_parameters(sol: QubitSolution) -> dynamics.RabiParameters:
@@ -235,9 +226,8 @@ def rabi_parameters(sol: QubitSolution) -> dynamics.RabiParameters:
     computed from the t* eigenstates and the spectrum is frozen during the
     Rabi integration.
     """
-    pairs = sol.trajectory.levels[sol.t_star_index]
     v_e = sol.config.drive_ratio * sol.scales.V_S
-    D = dynamics.rabi_coefficients(pairs[0], pairs[1], v_e, sol.grid)
+    D = dynamics.rabi_coefficients(*sol.levels, v_e, sol.grid)
     return dynamics.RabiParameters(
         omega0=sol.omega0, omega1=sol.omega1,
         omega_drive=sol.omega1 - sol.omega0, D=D)
@@ -317,8 +307,7 @@ def twoqubit_coefficients_from_solution(
         sol: QubitSolution, d: float) -> tuple[twoqubit.PauliCoefficients,
                                                twoqubit.ZMatrixElements]:
     """Coupling coefficients with both channels modeled by the solved dot."""
-    pairs = sol.trajectory.levels[sol.t_star_index]
-    zn = twoqubit.dot_matrix_elements(pairs[0], pairs[1], sol.grid)
+    zn = twoqubit.dot_matrix_elements(*sol.levels, sol.grid)
     z = twoqubit.ZMatrixElements(
         z00=zn.z00 * sol.scales.natural_length,
         z11=zn.z11 * sol.scales.natural_length,

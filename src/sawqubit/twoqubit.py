@@ -1,10 +1,10 @@
 """Coulomb-coupled two-dot gate construction.
 
 Pipeline: per-dot position matrix elements -> Pauli decomposition of the
-quadratic inter-channel Coulomb coupling -> interaction-picture Hamiltonian
-(with counter-rotating terms) -> rotating-wave closed-form iSWAP propagator,
-compared with the exact interaction-picture propagator of the full
-Hamiltonian by gate fidelity.
+quadratic inter-channel Coulomb coupling -> rotating-wave closed-form
+iSWAP propagator, compared by gate fidelity with the exact
+interaction-picture propagator of the full coupling (counter-rotating
+terms included).
 
 Basis ordering everywhere: |11>, |10>, |01>, |00> (upper qubit first).
 """
@@ -22,8 +22,6 @@ from .eigensolver import EigenPair, Grid, matrix_element
 # Single-qubit operators in the (|1>, |0>) basis.
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
 _SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]])  # |1><0|
-_SM = np.array([[0.0, 0.0], [1.0, 0.0]])  # |0><1|
 _ID = np.eye(2)
 
 
@@ -33,10 +31,6 @@ def _upper(op):
 
 def _lower(op):
     return np.kron(_ID, op)
-
-
-class RwaDetuningWarning(UserWarning):
-    """Interaction-picture frequencies differ beyond the configured threshold."""
 
 
 class QuadraticExpansionWarning(UserWarning):
@@ -59,9 +53,6 @@ PHASE_ROUNDING_LIMIT = 1e-6
 # QuadraticExpansionWarning fires when the relative dot displacement
 # exceeds this fraction of the channel separation.
 EXPANSION_GUARD = 0.3
-# RwaDetuningWarning fires when |lambda_u - lambda_l| exceeds this fraction
-# of the smaller of the two.
-DETUNING_THRESHOLD = 1e-3
 
 
 @dataclass(frozen=True)
@@ -144,23 +135,6 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     )
 
 
-def rwa_hamiltonian(coeffs: PauliCoefficients) -> np.ndarray:
-    """Rotating-wave effective coupling C^xx (s+ s- + s- s+), as a 4x4 matrix.
-
-    Warns (RwaDetuningWarning) when lambda_u and lambda_l differ enough that
-    the surviving exchange term is itself detuned.
-    """
-    lu, ll = coeffs.lambda_u, coeffs.lambda_l
-    denom = min(abs(lu), abs(ll))
-    if denom > 0 and abs(lu - ll) / denom > DETUNING_THRESHOLD:
-        warnings.warn(
-            f"interaction-picture detuning |lambda_u-lambda_l|/min="
-            f"{abs(lu - ll) / denom:.3e} exceeds {DETUNING_THRESHOLD:.1e}; "
-            "the exchange term is not exactly co-rotating",
-            RwaDetuningWarning, stacklevel=2)
-    return coeffs.c_xx * (_upper(_SP) @ _lower(_SM) + _upper(_SM) @ _lower(_SP))
-
-
 def iswap_propagator(coeffs: PauliCoefficients, t: float) -> np.ndarray:
     """Closed-form 4x4 propagator of the rotating-wave exchange coupling.
 
@@ -184,46 +158,12 @@ def gate_time_for_iswap(coeffs: PauliCoefficients) -> float:
     return (math.pi / 2.0) * CONSTANTS.hbar / abs(coeffs.c_xx)
 
 
-# Constant two-qubit operators for the interaction Hamiltonian.
-_SZZ = _upper(_SZ) @ _lower(_SZ)
-_SPU = _upper(_SP)
-_SMU = _upper(_SM)
-_SPL = _lower(_SP)
-_SML = _lower(_SM)
-_SPSP = _SPU @ _SPL
-_SPSM = _SPU @ _SML
-_SMSM = _SPSP.conj().T
-_SMSP = _SPSM.conj().T
-_SZU_SPL = _upper(_SZ) @ _SPL
-_SZU_SML = _upper(_SZ) @ _SML
-_SPU_SZL = _SPU @ _lower(_SZ)
-_SMU_SZL = _SMU @ _lower(_SZ)
-
-
-def interaction_hamiltonian(coeffs: PauliCoefficients, t) -> np.ndarray:
-    """Full interaction-picture Hamiltonian, counter-rotating terms included.
-
-    ``t`` may be a scalar (returns 4x4) or an array (returns stacked
-    (len(t), 4, 4)).
-    """
-    hbar = CONSTANTS.hbar
-    t = np.asarray(t, dtype=float)
-    tt = t[..., None, None]
-    eu = np.exp(2j * coeffs.lambda_u / hbar * tt)
-    el = np.exp(2j * coeffs.lambda_l / hbar * tt)
-    h = coeffs.c_zz * _SZZ + np.zeros_like(eu)
-    h = h + coeffs.cu_x * (eu * _SPU + eu.conj() * _SMU)
-    h = h + coeffs.cl_x * (el * _SPL + el.conj() * _SML)
-    h = h + coeffs.c_xx * (eu * el * _SPSP + eu * el.conj() * _SPSM
-                           + (eu * el).conj() * _SMSM + eu.conj() * el * _SMSP)
-    h = h + coeffs.c_zx * (el * _SZU_SPL + el.conj() * _SZU_SML)
-    h = h + coeffs.c_xz * (eu * _SPU_SZL + eu.conj() * _SMU_SZL)
-    return h
+_SZZ = _upper(_SZ) @ _lower(_SZ)  # sz_u sz_l
 
 
 def interaction_propagator(coeffs: PauliCoefficients, t) -> np.ndarray:
-    """Exact propagator of ``interaction_hamiltonian``, counter-rotating terms
-    included.
+    """Exact interaction-picture propagator of the full Coulomb coupling,
+    counter-rotating terms included.
 
     The interaction picture is taken with respect to the time-independent
     H0 = lambda_u sz_u + lambda_l sz_l of a constant lab-frame Hamiltonian

@@ -64,8 +64,9 @@ def test_a3_qubit_splitting(qubit_solution, qubit_solution_heavy):
 
 
 def _beta_summary(sol):
-    betas = adiabatic.adiabaticity_sweep(sol.trajectory, sol.scales)
-    return betas[sol.t_star_index], betas.max()
+    traj, i = pipeline.mirrored_trajectory(sol.config, sol.scales)
+    betas = adiabatic.adiabaticity_sweep(traj, sol.scales)
+    return betas[i], betas.max()
 
 
 def test_a4_adiabaticity(qubit_solution, qubit_solution_heavy):

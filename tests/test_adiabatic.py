@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, pipeline, potential
+from sawqubit import adiabatic, oracles, pipeline, potential
 from sawqubit.adiabatic import (DegenerateSplittingError, adiabaticity_beta,
                                 adiabaticity_sweep, find_well_minimum,
                                 representative_time)
@@ -37,7 +37,7 @@ def test_static_potential_gives_zero_beta():
 
 def test_beta_symmetric_in_level_exchange(qubit_solution):
     sol = qubit_solution
-    pairs = sol.trajectory.levels[sol.t_star_index]
+    pairs = sol.levels
     grid = sol.grid
     b01 = adiabaticity_beta(pairs[0], pairs[1], sol.t_star, grid, sol.scales)
     b10 = adiabaticity_beta(pairs[1], pairs[0], sol.t_star, grid, sol.scales)
@@ -60,7 +60,7 @@ def test_beta_matches_finite_difference_hamiltonian(qubit_solution):
     sol = qubit_solution
     scales = sol.scales
     t = sol.t_star
-    pairs = sol.trajectory.levels[sol.t_star_index]
+    pairs = sol.levels
     grid = sol.grid
     analytic = adiabaticity_beta(pairs[0], pairs[1], t, grid, scales)
 
@@ -89,9 +89,11 @@ def test_beta_scales_linearly_in_saw_amplitude():
 
 def test_sweep_regression(qubit_solution):
     sol = qubit_solution
-    betas = adiabaticity_sweep(sol.trajectory, sol.scales)
-    assert betas.shape == sol.trajectory.times.shape
-    assert betas[sol.t_star_index] == pytest.approx(BETA_T_STAR, rel=1e-9)
+    traj, i = pipeline.mirrored_trajectory(sol.config, sol.scales)
+    betas = adiabaticity_sweep(traj, sol.scales)
+    assert betas.shape == traj.times.shape
+    assert traj.times[i] == sol.t_star
+    assert betas[i] == pytest.approx(BETA_T_STAR, rel=1e-9)
     assert betas.max() == pytest.approx(BETA_MAX, rel=1e-9)
     assert betas.max() < 1.0  # adiabaticity over the whole period
     assert np.all(betas >= 0.0)
@@ -101,7 +103,7 @@ def test_sweep_static_all_zero():
     config = DeviceConfig(gamma=0.0)
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 8)
-    traj = pipeline.track_dot_levels(times, config, scales)
+    traj = oracles.track_dot_levels(times, config, scales)
     np.testing.assert_array_equal(adiabaticity_sweep(traj, scales),
                                   np.zeros(times.size))
 
@@ -126,8 +128,8 @@ def test_one_well_search_per_sample(monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(adiabatic, "find_well_minimum", counted)
-    sol = pipeline.solve_qubit(DeviceConfig(), n_times=8)
-    assert len(calls) == 8
+    sol = pipeline.solve_qubit(DeviceConfig())
+    assert len(calls) == pipeline.DEFAULT_N_TIMES // 2
     assert sol.well_center == search(sol.t_star, sol.config, sol.scales)
 
 

@@ -74,7 +74,13 @@ def test_invalid_config_exit_code(tmp_path, capsys):
             (["adiabaticity"], {"a_m": 1e100, "l0_m": 1e-54, "gamma": 1.0},
              "gamma:"),
             (["levels", "--times", "0.05"],
-             {"a_m": 1e100, "saw_wavelength_m": 1e-60}, "saw_wavelength:")):
+             {"a_m": 1e100, "saw_wavelength_m": 1e-60}, "saw_wavelength:"),
+            # the squared bound (2 x Gershgorin bound)**2 on the level
+            # spacing in beta's denominator overflows
+            (["adiabaticity"], {"gamma": 1e200}, "gamma:"),
+            (["adiabaticity"], {"gamma": 1.245e234, "a_m": 0.181}, "gamma:"),
+            (["adiabaticity"], {"saw_wavelength_m": 1e-81},
+             "saw_wavelength:")):
         cfg.write_text(json.dumps(config))
         assert run(args + ["--config", str(cfg), "--out", str(out)]) == 2
         assert culprit in capsys.readouterr().err
@@ -319,6 +325,12 @@ CONTRACT_COMMANDS = {
     "twoqubit": ["twoqubit", "--fixture-paper-z"],
     # one dot-window solve, a few ms for a valid config
     "levels": ["levels", "--times", "0.05", "--levels", "2"],
+    # 32 dot-window solves and the beta sweep, ~40 ms for a valid config
+    "adiabaticity": ["adiabaticity"],
+    # one dot-window solve at t*, ~10 ms for a valid config
+    "twoqubit-solved": ["twoqubit"],
+    # rabi stays out: a random config can ask for up to dynamics.MAX_STEPS
+    # = 1e8 RK4 steps, and the run keeps every step (~5.6 GB at the cap)
 }
 
 
@@ -332,15 +344,20 @@ CONTRACT_COMMANDS = {
          command="levels")
 @example(config={"a_m": 1e100, "saw_wavelength_m": 1e-60}, d=None,
          command="levels")
+# beta's (E1 - E0)**2 leaves the float range for these
+@example(config={"gamma": 1e200}, d=None, command="adiabaticity")
+@example(config={"gamma": 1.245e234, "a_m": 0.181}, d=None,
+         command="adiabaticity")
 def test_exit_code_contract(tmp_path_factory, config, d, command):
     """Any flat JSON config exits in {0, 2, 3, 4} without raising from
-    ``derive``, ``twoqubit --fixture-paper-z`` (with an optional --d) and
-    ``levels`` at one time with two levels."""
+    ``derive``, ``twoqubit`` with the fixture or the solved dot (with an
+    optional --d), ``levels`` at one time with two levels and
+    ``adiabaticity``."""
     tmp = tmp_path_factory.mktemp("contract")
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(config))
     args = list(CONTRACT_COMMANDS[command])
-    if command == "twoqubit" and d is not None:
+    if command.startswith("twoqubit") and d is not None:
         args.append(f"--d={d!r}")
     assert run(args + ["--config", str(cfg), "--out", str(tmp / "out")]) in \
         (0, 2, 3, 4)

@@ -250,6 +250,5 @@ def test_coefficient_matrix_symmetric(qubit_solution, rabi_result):
 
 def test_zero_drive_amplitude_gives_zero_coupling(qubit_solution):
     sol = qubit_solution
-    pairs = sol.trajectory.levels[sol.t_star_index]
-    D = dynamics.rabi_coefficients(pairs[0], pairs[1], 0.0, sol.grid)
+    D = dynamics.rabi_coefficients(*sol.levels, 0.0, sol.grid)
     np.testing.assert_array_equal(D, np.zeros((2, 2)))

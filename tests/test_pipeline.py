@@ -1,39 +1,44 @@
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, dynamics, pipeline
-from sawqubit.params import DeviceConfig
+from sawqubit import adiabatic, dynamics, oracles, pipeline
+from sawqubit.params import DeviceConfig, derive_scales
 
 
 @pytest.mark.parametrize("geometry", [{}, {"gamma": 0.3625, "a": 4.083e-7}],
                          ids=["default", "narrow"])
 def test_rescale_solution_matches_full_solve(geometry):
-    light = pipeline.solve_qubit(DeviceConfig(**geometry), n_times=8)
+    light = pipeline.solve_qubit(DeviceConfig(**geometry))
     full = pipeline.solve_qubit(
-        DeviceConfig(**geometry, effective_mass_ratio=0.067), n_times=8)
+        DeviceConfig(**geometry, effective_mass_ratio=0.067))
     scaled = pipeline.rescale_solution(light, 0.067)
     assert scaled.config == full.config
     assert scaled.scales == full.scales
     assert scaled.t_star == full.t_star
-    assert scaled.t_star_index == full.t_star_index
     assert (scaled.E0, scaled.E1) == (full.E0, full.E1)
     assert scaled.splitting == full.splitting
     assert (scaled.omega0, scaled.omega1) == (full.omega0, full.omega1)
-    assert scaled.trajectory is light.trajectory
+    assert scaled.levels is light.levels
 
 
 def test_rescale_solution_rejects_changed_natural_problem():
-    sol = pipeline.solve_qubit(DeviceConfig(), n_times=8)
+    sol = pipeline.solve_qubit(DeviceConfig())
     shifted = replace(sol, scales=replace(sol.scales,
                                           V0=sol.scales.V0 * (1 + 1e-15)))
     with pytest.raises(ValueError, match="natural-unit problem"):
         pipeline.rescale_solution(shifted, 0.067)
 
 
-def test_solve_qubit_solves_half_the_period(monkeypatch):
+def test_qubit_solution_holds_only_t_star():
+    names = {f.name for f in fields(pipeline.QubitSolution)}
+    assert not names & {"trajectory", "t_star_index"}
+
+
+def _count_work(monkeypatch, run):
+    """Eigensolves and well searches made by ``run()``."""
     counts = {"solves": 0, "searches": 0}
 
     def counted(name, fn):
@@ -46,20 +51,47 @@ def test_solve_qubit_solves_half_the_period(monkeypatch):
                         counted("solves", pipeline.solve_lowest))
     monkeypatch.setattr(adiabatic, "find_well_minimum",
                         counted("searches", adiabatic.find_well_minimum))
-    pipeline.solve_qubit(DeviceConfig(), n_times=8)
-    assert counts == {"solves": 4, "searches": 8}
+    run()
+    return counts
 
 
-@pytest.mark.parametrize("geometry, t_star_index",
-                         [({}, 7), ({"gamma": 0.45, "a": 5e-7}, 0)],
-                         ids=["second_half", "first_half"])
-def test_mirrored_trajectory_matches_full_tracking(geometry, t_star_index):
-    """The mirrored half of solve_qubit against solving every sample."""
-    sol = pipeline.solve_qubit(DeviceConfig(**geometry), n_times=8)
-    assert sol.t_star_index == t_star_index
-    traj = sol.trajectory
-    ref = pipeline.track_dot_levels(traj.times, sol.config, sol.scales)
-    np.testing.assert_array_equal(traj.centers, ref.centers)
+def test_solve_qubit_solves_only_t_star(monkeypatch):
+    half = pipeline.DEFAULT_N_TIMES // 2
+    counts = _count_work(monkeypatch,
+                         lambda: pipeline.solve_qubit(DeviceConfig()))
+    assert counts == {"solves": 1, "searches": half}
+
+
+def test_mirrored_trajectory_solves_half_the_period(monkeypatch):
+    config = DeviceConfig()
+    scales = derive_scales(config)
+    half = pipeline.DEFAULT_N_TIMES // 2
+    counts = _count_work(
+        monkeypatch, lambda: pipeline.mirrored_trajectory(config, scales))
+    assert counts == {"solves": half, "searches": half}
+
+
+@pytest.mark.parametrize("gamma, index", [(0.3625, 0), (0.55, 0), (0.65, 0),
+                                          (0.2, 17)])
+def test_t_star_in_first_half(gamma, index):
+    """Configs whose mirror-image samples tie in depth to rounding: t* is
+    the first-half sample, the same for solve_qubit and the trajectory."""
+    sol = pipeline.solve_qubit(DeviceConfig(gamma=gamma))
+    times = pipeline.default_times(sol.scales)
+    assert sol.t_star == times[index]
+    _, i = pipeline.mirrored_trajectory(sol.config, sol.scales)
+    assert i == index
+
+
+@pytest.mark.parametrize("geometry", [{}, {"gamma": 0.55}],
+                         ids=["default", "gamma_0.55"])
+def test_mirrored_trajectory_matches_full_tracking(geometry):
+    """The mirrored half of the trajectory against solving every sample."""
+    config = DeviceConfig(**geometry)
+    scales = derive_scales(config)
+    traj, i = pipeline.mirrored_trajectory(config, scales)
+    ref = oracles.track_dot_levels(traj.times, config, scales)
+    np.testing.assert_allclose(traj.centers, ref.centers, rtol=0, atol=1e-11)
     np.testing.assert_allclose(traj.energies(), ref.energies(), rtol=1e-10,
                                atol=0)
     for levels, ref_levels, grid, ref_grid in zip(traj.levels, ref.levels,
@@ -72,11 +104,17 @@ def test_mirrored_trajectory_matches_full_tracking(geometry, t_star_index):
                                        atol=1e-9)
     np.testing.assert_allclose(traj.min_overlaps, ref.min_overlaps, rtol=0,
                                atol=1e-9)
-    assert traj.grids[t_star_index] == ref.grids[t_star_index]
-    for pair, ref_pair in zip(traj.levels[t_star_index],
-                              ref.levels[t_star_index]):
-        assert pair.energy == ref_pair.energy
-        np.testing.assert_array_equal(pair.wavefunction, ref_pair.wavefunction)
+    # t* is the first sample here, which the sign alignment leaves as
+    # solved: it matches every-sample tracking and solve_qubit bit for bit
+    assert i == 0
+    sol = pipeline.solve_qubit(config)
+    assert traj.grids[i] == ref.grids[i] == sol.grid
+    for pair, ref_pair, sol_pair in zip(traj.levels[i], ref.levels[i],
+                                        sol.levels):
+        assert pair.energy == ref_pair.energy == sol_pair.energy
+        np.testing.assert_array_equal(pair.wavefunction,
+                                      ref_pair.wavefunction)
+        np.testing.assert_array_equal(pair.wavefunction, sol_pair.wavefunction)
 
 
 def _drive(d01, d_diag):

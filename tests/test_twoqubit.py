@@ -5,15 +5,13 @@ import pytest
 
 from sawqubit import pipeline
 from sawqubit.constants import CONSTANTS
-from sawqubit.oracles import time_ordered_propagator
+from sawqubit.oracles import interaction_hamiltonian, time_ordered_propagator
 from sawqubit.twoqubit import (NoExchangeCouplingError, PauliCoefficients,
-                               QuadraticExpansionWarning, RwaDetuningWarning,
-                               ZMatrixElements,
+                               QuadraticExpansionWarning, ZMatrixElements,
                                coulomb_pauli_coefficients,
                                dot_matrix_elements, gate_fidelity,
-                               gate_time_for_iswap, interaction_hamiltonian,
-                               interaction_propagator, iswap_propagator,
-                               rwa_fidelity, rwa_hamiltonian)
+                               gate_time_for_iswap, interaction_propagator,
+                               iswap_propagator, rwa_fidelity)
 
 UNITARITY_TOL = 1e-10
 GROUP_TOL = 1e-12
@@ -108,24 +106,6 @@ def test_rejects_nonpositive_separation():
     z = ZMatrixElements(z00=0.0, z11=0.0, z01=1e-9)
     with pytest.raises(ValueError):
         coulomb_pauli_coefficients(z, z, 0.0)
-
-
-def test_rwa_hamiltonian_structure():
-    coeffs = _synthetic_coeffs(c_xx=2e-25, lam=4e-23)
-    h = rwa_hamiltonian(coeffs)
-    assert h[1, 2] == coeffs.c_xx
-    assert h[2, 1] == coeffs.c_xx
-    np.testing.assert_array_equal(np.diag(h), np.zeros(4))
-    np.testing.assert_array_equal(h, h.conj().T)
-    assert h[0, 3] == 0.0  # no counter-rotating |11> <-> |00> coupling
-
-
-def test_rwa_hamiltonian_detuning_warning():
-    coeffs = PauliCoefficients(cu_z=0.0, cl_z=0.0, cu_x=0.0, cl_x=0.0,
-                               c_zz=0.0, c_xx=1e-25, c_zx=0.0, c_xz=0.0,
-                               lambda_u=4e-23, lambda_l=5e-23)
-    with pytest.warns(RwaDetuningWarning):
-        rwa_hamiltonian(coeffs)
 
 
 def test_iswap_identity_at_zero():
@@ -288,6 +268,5 @@ def test_solution_matrix_elements_are_negative(qubit_solution):
     """The dot sits left of the barrier at t*, so all position elements
     share the well's sign, as with the reference fixture values."""
     sol = qubit_solution
-    pairs = sol.trajectory.levels[sol.t_star_index]
-    z = dot_matrix_elements(pairs[0], pairs[1], sol.grid)
+    z = dot_matrix_elements(*sol.levels, sol.grid)
     assert z.z00 < 0 and z.z11 < 0
