@@ -34,15 +34,6 @@ def adiabaticity_beta(pair_m: EigenPair, pair_n: EigenPair, t: float,
     return num / de**2
 
 
-def adiabaticity_sweep(trajectory, scales: DerivedScales) -> np.ndarray:
-    """beta(t) of the qubit levels 0 and 1 at every sample of a dot
-    trajectory (``pipeline.DotTrajectory``, one window grid per time)."""
-    return np.array([
-        adiabaticity_beta(pairs[0], pairs[1], t, grid, scales)
-        for t, pairs, grid in zip(trajectory.times, trajectory.levels,
-                                  trajectory.grids)])
-
-
 def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,
                       search_halfwidth: float | None = None,
                       n_samples: int = 4001) -> float:
@@ -73,16 +64,10 @@ def representative_time(times, centers, scales: DerivedScales) -> int:
     ``centers`` holds the tracked well minimum (z/a) at each sampled time.
     Each is compared with the barrier crest inside the channel (|z| <= a);
     the index of the time at which the well sits deepest below the crest
-    is returned (the first one on a tie).  Deterministic for a fixed time
-    sample.
+    is returned (the first one on a tie).
     """
     crest_zeta = np.linspace(-1.0, 1.0, 2001)
-    best = 0
-    best_depth = np.inf
-    for i, (t, zw) in enumerate(zip(times, centers)):
-        depth = float(potential.effective(np.array([zw]), t, scales)[0]
-                      - np.max(potential.effective(crest_zeta, t, scales)))
-        if depth < best_depth:
-            best_depth = depth
-            best = i
-    return best
+    depth = (potential.effective(np.asarray(centers), times, scales)
+             - potential.effective(crest_zeta, times[:, None],
+                                   scales).max(axis=1))
+    return int(np.argmin(depth))

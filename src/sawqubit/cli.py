@@ -228,31 +228,31 @@ def cmd_adiabaticity(args) -> int:
     t_start = time.perf_counter()
     config = _load(args)
     scales = derive_scales(config)
-    traj, i = pipeline.mirrored_trajectory(config, scales)
+    prof = pipeline.adiabaticity_profile(config, scales)
+    i = prof.t_star_index
     u = _Units(args.units, scales)
-    betas = adiabatic.adiabaticity_sweep(traj, scales)
     os.makedirs(args.out, exist_ok=True)
-    e0, e1 = scales.energy_to_si(traj.energies()).T
+    e0, e1 = scales.energy_to_si(prof.energies).T
     csv_path = os.path.join(args.out, "beta.csv")
     _write_csv(csv_path,
                [u.col("t", "s"), "beta", u.col("E0", "J"), u.col("E1", "J"),
                 u.col("splitting", "J")],
-               [u.val(traj.times, "s"), betas, u.val(e0, "J"),
+               [u.val(prof.times, "s"), prof.beta, u.val(e0, "J"),
                 u.val(e1, "J"), u.val(e1 - e0, "J")])
-    beta_star = betas[i]
+    beta_star, max_beta = prof.beta[i], prof.beta.max()
     summary = {
-        "t_star": u.val(float(traj.times[i]), "s"),
+        "t_star": u.val(float(prof.times[i]), "s"),
         "beta_at_t_star": float(beta_star),
-        "max_beta": float(betas.max()),
+        "max_beta": float(max_beta),
         "E0_at_t_star": u.val(float(e0[i]), "J"),
         "E1_at_t_star": u.val(float(e1[i]), "J"),
         "splitting_at_t_star": u.val(float(e1[i] - e0[i]), "J"),
-        "well_center_over_a": float(traj.centers[i]),
+        "well_center_over_a": prof.well_center,
         "units": args.units,
     }
     json_path = os.path.join(args.out, "adiabaticity_summary.json")
     _write_json(json_path, summary)
-    print(f"beta(t*) = {beta_star:.4f}, max beta = {betas.max():.4f} "
+    print(f"beta(t*) = {beta_star:.4f}, max beta = {max_beta:.4f} "
           f"-> {csv_path}")
     _finish(args.out, "adiabaticity", config, scales, [csv_path, json_path],
             t_start)

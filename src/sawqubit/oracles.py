@@ -343,22 +343,37 @@ def check_interaction_propagator() -> OracleResult:
                   "unitarity_defect": defect, "steps": PROPAGATOR_STEPS})
 
 
+@dataclass(frozen=True)
+class TrackedLevels:
+    """Dot levels solved at every sample, each on its own window grid."""
+
+    times: np.ndarray
+    levels: list  # levels[i][n] = EigenPair
+    grids: list  # window Grid per time
+    centers: np.ndarray  # well center (z/a) per time
+    min_overlaps: np.ndarray  # per level, between neighbouring samples
+
+    def energies(self) -> np.ndarray:
+        return np.array([[p.energy for p in step] for step in self.levels])
+
+
 def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
-                     count: int = 2) -> pipeline.DotTrajectory:
-    """Dot-level trajectory with every sample solved, sign-aligned step to
-    step; the reference for ``pipeline.mirrored_trajectory``.
+                     count: int = 2) -> TrackedLevels:
+    """Dot levels with every sample solved; the reference for
+    ``pipeline.adiabaticity_profile``.
 
     ``times`` must be nonempty and strictly monotonic.
     """
     times = np.asarray(times, dtype=float)
     diffs = np.diff(times)
-    if times.size < 1 or (times.size > 1
-                          and not (np.all(diffs > 0) or np.all(diffs < 0))):
+    if times.size < 1 or not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("times must be nonempty and strictly monotonic")
     levels, grids, centers = zip(*(
         pipeline.solve_dot_levels(t, config, scales, count) for t in times))
-    return pipeline.aligned_trajectory(times, list(levels), list(grids),
-                                       np.array(centers))
+    return TrackedLevels(
+        times=times, levels=list(levels), grids=list(grids),
+        centers=np.array(centers), min_overlaps=pipeline.min_level_overlaps(
+            [[p.wavefunction for p in pairs] for pairs in levels], grids))
 
 
 def run_all() -> list[OracleResult]:

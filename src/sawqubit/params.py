@@ -27,6 +27,9 @@ class ConfigError(ValueError):
 # beta grows in proportion to the velocity, so larger values are absurd.
 MAX_SAW_VELOCITY_MPS = 1e5
 
+# Upper bound on m*/m_e, well above any semiconductor band mass (all < ~2).
+MAX_EFFECTIVE_MASS_RATIO = 10.0
+
 # Grid points of the moving-dot window, one SAW wavelength wide.  Its
 # kinetic term sets the largest energy the eigensolver meets, which the
 # derived scales must keep in the float range.
@@ -83,6 +86,9 @@ class DeviceConfig:
         if self.saw_velocity > MAX_SAW_VELOCITY_MPS:
             raise ConfigError("saw_velocity",
                               f"must be <= {MAX_SAW_VELOCITY_MPS:g} m/s")
+        if self.effective_mass_ratio > MAX_EFFECTIVE_MASS_RATIO:
+            raise ConfigError("effective_mass_ratio",
+                              f"must be <= {MAX_EFFECTIVE_MASS_RATIO:g}")
 
     def as_file_dict(self) -> dict:
         """Config echoed in file-key form (all keys, no hidden defaults)."""

@@ -2,9 +2,8 @@
 
 Ties the modules together: default grid and time sampling, selection of
 the representative time t* of strongest confinement, the single-qubit
-quantities (splitting, drive coupling) evaluated there, and the
-sign-aligned level trajectory over one SAW period that the adiabaticity
-sweep reads.
+quantities (splitting, drive coupling) evaluated there, and beta(t) and
+the qubit energies over one SAW period.
 """
 from __future__ import annotations
 
@@ -15,8 +14,7 @@ import numpy as np
 
 from . import adiabatic, dynamics, potential, twoqubit
 from .constants import CONSTANTS
-from .eigensolver import (EigenPair, Grid, build_grid, build_hamiltonian,
-                          solve_lowest)
+from .eigensolver import Grid, build_grid, build_hamiltonian, solve_lowest
 from .params import (DOT_WINDOW_POINTS, DeviceConfig, DerivedScales,
                      derive_scales)
 
@@ -59,12 +57,6 @@ def default_times(scales: DerivedScales,
 # lambda centered on the tracked well minimum, with Dirichlet walls on the
 # surrounding potential crests.  Its resolution, DOT_WINDOW_POINTS, lives
 # in params, whose derived scales keep the window's kinetic term finite.
-def dot_grid(center: float, config: DeviceConfig) -> Grid:
-    """Window grid of width lambda (in z/a units) around a well center."""
-    half = 0.5 * config.saw_wavelength / config.a
-    return build_grid(center - half, center + half, DOT_WINDOW_POINTS)
-
-
 def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
                      count: int) -> tuple[list, Grid, float]:
     """Lowest ``count`` levels of the well nearest the barrier at SI time t.
@@ -79,53 +71,28 @@ def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
 
 def _solve_window(t: float, center: float, config: DeviceConfig,
                   scales: DerivedScales, count: int) -> tuple[list, Grid]:
-    """Lowest ``count`` levels on the dot window around ``center``."""
-    grid = dot_grid(center, config)
+    """Lowest ``count`` levels on the lambda-wide window around ``center``."""
+    half = 0.5 * config.saw_wavelength / config.a
+    grid = build_grid(center - half, center + half, DOT_WINDOW_POINTS)
     H = build_hamiltonian(
         grid, lambda zeta: potential.effective(zeta, t, scales))
     return solve_lowest(H, count, grid=grid), grid
 
 
-def aligned_trajectory(times: np.ndarray, levels: list, grids: list,
-                       centers: np.ndarray) -> "DotTrajectory":
-    """Sign-align each level to the previous sample, in time order.
+def min_level_overlaps(states: list, grids: list) -> np.ndarray:
+    """Smallest |overlap| of each level between neighbouring samples.
 
-    Consecutive windows overlap almost entirely; overlaps are evaluated by
-    interpolating the previous state onto the current window.  ``levels``
-    is aligned in place.
+    ``states[i]`` holds the level wavefunctions of sample i, on
+    ``grids[i]``; each is interpolated onto the next sample's window.
     """
-    count = len(levels[0])
-    min_ov = np.ones(count)
-    for i in range(1, len(levels)):
-        prev, prev_grid = levels[i - 1], grids[i - 1]
-        pairs, grid = levels[i], grids[i]
-        zc = grid.points
-        for n in range(count):
-            prev_on_cur = np.interp(zc, prev_grid.points,
-                                    prev[n].wavefunction,
-                                    left=0.0, right=0.0)
-            ov = float(np.sum(prev_on_cur * pairs[n].wavefunction) * grid.h)
-            if ov < 0:
-                pairs[n] = EigenPair(energy=pairs[n].energy,
-                                     wavefunction=-pairs[n].wavefunction)
-                ov = -ov
-            min_ov[n] = min(min_ov[n], ov)
-    return DotTrajectory(times=times, levels=levels, grids=grids,
-                         centers=centers, min_overlaps=min_ov)
-
-
-@dataclass(frozen=True)
-class DotTrajectory:
-    """Dot levels over the sampled times, each on its own window grid."""
-
-    times: np.ndarray
-    levels: list  # levels[i][n] = EigenPair
-    grids: list  # window Grid per time
-    centers: np.ndarray  # well center (z/a) per time
-    min_overlaps: np.ndarray
-
-    def energies(self) -> np.ndarray:
-        return np.array([[p.energy for p in step] for step in self.levels])
+    min_ov = np.ones(len(states[0]))
+    for prev, prev_grid, cur, grid in zip(states, grids, states[1:],
+                                          grids[1:]):
+        ov = [np.sum(np.interp(grid.points, prev_grid.points, p, left=0.0,
+                               right=0.0) * c) * grid.h
+              for p, c in zip(prev, cur)]
+        min_ov = np.minimum(min_ov, np.abs(ov))
+    return min_ov
 
 
 @dataclass(frozen=True)
@@ -137,12 +104,39 @@ class QubitSolution:
     grid: Grid  # window grid at t*
     levels: list  # the QUBIT_LEVELS eigenpairs at t*, solver sign convention
     t_star: float  # s
-    E0: float  # J
-    E1: float  # J
-    splitting: float  # J
-    omega0: float  # rad/s (E0/hbar)
-    omega1: float  # rad/s
     well_center: float  # z/a units, at t*
+
+    @property
+    def E0(self) -> float:  # J
+        return self.scales.energy_to_si(self.levels[0].energy)
+
+    @property
+    def E1(self) -> float:  # J
+        return self.scales.energy_to_si(self.levels[1].energy)
+
+    @property
+    def splitting(self) -> float:  # J
+        return self.E1 - self.E0
+
+    @property
+    def omega0(self) -> float:  # rad/s
+        return self.E0 / CONSTANTS.hbar
+
+    @property
+    def omega1(self) -> float:  # rad/s
+        return self.E1 / CONSTANTS.hbar
+
+
+@dataclass(frozen=True)
+class AdiabaticityProfile:
+    """beta(t) and the qubit energies at the samples of one SAW period."""
+
+    times: np.ndarray  # s
+    beta: np.ndarray
+    energies: np.ndarray  # (time, level), natural units
+    t_star_index: int
+    well_center: float  # z/a units, at t*
+    min_overlaps: np.ndarray  # per level, between neighbouring samples
 
 
 # The potential obeys V(z, T - t) = V(-z, t): the barrier is even and
@@ -166,38 +160,36 @@ def solve_qubit(config: DeviceConfig) -> QubitSolution:
     times, centers, idx = _first_half(config, scales)
     levels, grid = _solve_window(times[idx], centers[idx], config, scales,
                                  QUBIT_LEVELS)
-    return QubitSolution(
-        config=config, scales=scales, grid=grid, levels=levels,
-        t_star=float(times[idx]), **_si_levels(levels, scales),
-        well_center=float(centers[idx]))
+    return QubitSolution(config=config, scales=scales, grid=grid,
+                         levels=levels, t_star=float(times[idx]),
+                         well_center=float(centers[idx]))
 
 
-def mirrored_trajectory(config: DeviceConfig, scales: DerivedScales
-                        ) -> tuple[DotTrajectory, int]:
-    """Sign-aligned qubit levels over the SAW period, and the index of t*.
+def adiabaticity_profile(config: DeviceConfig,
+                         scales: DerivedScales) -> AdiabaticityProfile:
+    """beta(t) and the qubit energies over the SAW period.
 
-    The first half of the samples is solved; each sample of the second
-    half takes the mirror image of its partner's levels, window grid and
-    well center.
+    Only the first half is solved: sample n-1-i is the mirror image of
+    sample i, with the same energies and beta.  The minimum overlaps run
+    over the first half and its last sample against that sample's mirror
+    image; the second-half neighbours mirror the first-half ones.
     """
-    half, centers, idx = _first_half(config, scales)
-    levels, grids = map(list, zip(*(
-        _solve_window(t, c, config, scales, QUBIT_LEVELS)
-        for t, c in zip(half, centers))))
-    levels += [[EigenPair(energy=p.energy, wavefunction=p.wavefunction[::-1])
-                for p in pairs] for pairs in levels[::-1]]
-    grids += [Grid(-g.z_max, -g.z_min, g.n_points) for g in grids[::-1]]
-    traj = aligned_trajectory(default_times(scales), levels, grids,
-                              np.concatenate([centers, -centers[::-1]]))
-    return traj, idx
-
-
-def _si_levels(pairs, scales: DerivedScales) -> dict:
-    """The QubitSolution fields E0, E1, splitting, omega0 and omega1."""
-    e0 = scales.energy_to_si(pairs[0].energy)
-    e1 = scales.energy_to_si(pairs[1].energy)
-    return {"E0": e0, "E1": e1, "splitting": e1 - e0,
-            "omega0": e0 / CONSTANTS.hbar, "omega1": e1 / CONSTANTS.hbar}
+    times, centers, idx = _first_half(config, scales)
+    levels, grids = zip(*(_solve_window(t, c, config, scales, QUBIT_LEVELS)
+                          for t, c in zip(times, centers)))
+    beta = np.array([adiabatic.adiabaticity_beta(*pairs, t, grid, scales)
+                     for t, pairs, grid in zip(times, levels, grids)])
+    energies = np.array([[p.energy for p in pairs] for pairs in levels])
+    states = [[p.wavefunction for p in pairs] for pairs in levels]
+    g = grids[-1]
+    min_ov = min_level_overlaps(
+        states + [[psi[::-1] for psi in states[-1]]],
+        [*grids, Grid(-g.z_max, -g.z_min, g.n_points)])
+    return AdiabaticityProfile(
+        times=default_times(scales), beta=np.concatenate([beta, beta[::-1]]),
+        energies=np.concatenate([energies, energies[::-1]]),
+        t_star_index=idx, well_center=float(centers[idx]),
+        min_overlaps=min_ov)
 
 
 def rescale_solution(sol: QubitSolution,
@@ -215,8 +207,7 @@ def rescale_solution(sol: QubitSolution,
            for name in natural):
         raise ValueError("the natural-unit problem depends on the mass here; "
                          "solve it again instead")
-    return replace(sol, config=config, scales=scales,
-                   **_si_levels(sol.levels, scales))
+    return replace(sol, config=config, scales=scales)
 
 
 def rabi_parameters(sol: QubitSolution) -> dynamics.RabiParameters:

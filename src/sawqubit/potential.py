@@ -16,7 +16,8 @@ from .params import DerivedScales
 
 def barrier(zeta, scales: DerivedScales):
     """Electrostatic split-gate barrier V0 / cosh^2(zeta)."""
-    return scales.V0_nat / np.cosh(zeta) ** 2
+    with np.errstate(over="ignore"):  # cosh^2 -> inf far out: the limit 0
+        return scales.V0_nat / np.cosh(zeta) ** 2
 
 
 def saw(zeta, t, scales: DerivedScales):
@@ -37,7 +38,8 @@ def saw_time_derivative(zeta, t, scales: DerivedScales):
 
 def drive_profile(zeta):
     """Spatial profile sech^2(zeta) of the microwave drive."""
-    return 1.0 / np.cosh(zeta) ** 2
+    with np.errstate(over="ignore"):  # cosh^2 -> inf far out: the limit 0
+        return 1.0 / np.cosh(zeta) ** 2
 
 
 def coulomb_force(z_u, z_l, d: float):

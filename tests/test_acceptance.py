@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import conftest
-from sawqubit import adiabatic, cli, pipeline
+from sawqubit import cli, pipeline
 from sawqubit.params import DeviceConfig, derive_scales
 from sawqubit.twoqubit import (PauliCoefficients, gate_time_for_iswap,
                                iswap_propagator, rwa_fidelity)
@@ -64,9 +64,8 @@ def test_a3_qubit_splitting(qubit_solution, qubit_solution_heavy):
 
 
 def _beta_summary(sol):
-    traj, i = pipeline.mirrored_trajectory(sol.config, sol.scales)
-    betas = adiabatic.adiabaticity_sweep(traj, sol.scales)
-    return betas[i], betas.max()
+    prof = pipeline.adiabaticity_profile(sol.config, sol.scales)
+    return prof.beta[prof.t_star_index], prof.beta.max()
 
 
 def test_a4_adiabaticity(qubit_solution, qubit_solution_heavy):

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, oracles, pipeline, potential
+from sawqubit import adiabatic, pipeline, potential
 from sawqubit.adiabatic import (DegenerateSplittingError, adiabaticity_beta,
-                                adiabaticity_sweep, find_well_minimum,
-                                representative_time)
+                                find_well_minimum, representative_time)
 from sawqubit.eigensolver import (EigenPair, build_grid, build_hamiltonian,
                                   matrix_element, solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
@@ -89,10 +88,10 @@ def test_beta_scales_linearly_in_saw_amplitude():
 
 def test_sweep_regression(qubit_solution):
     sol = qubit_solution
-    traj, i = pipeline.mirrored_trajectory(sol.config, sol.scales)
-    betas = adiabaticity_sweep(traj, sol.scales)
-    assert betas.shape == traj.times.shape
-    assert traj.times[i] == sol.t_star
+    prof = pipeline.adiabaticity_profile(sol.config, sol.scales)
+    betas, i = prof.beta, prof.t_star_index
+    assert betas.shape == prof.times.shape
+    assert prof.times[i] == sol.t_star
     assert betas[i] == pytest.approx(BETA_T_STAR, rel=1e-9)
     assert betas.max() == pytest.approx(BETA_MAX, rel=1e-9)
     assert betas.max() < 1.0  # adiabaticity over the whole period
@@ -101,11 +100,8 @@ def test_sweep_regression(qubit_solution):
 
 def test_sweep_static_all_zero():
     config = DeviceConfig(gamma=0.0)
-    scales = derive_scales(config)
-    times = pipeline.default_times(scales, 8)
-    traj = oracles.track_dot_levels(times, config, scales)
-    np.testing.assert_array_equal(adiabaticity_sweep(traj, scales),
-                                  np.zeros(times.size))
+    prof = pipeline.adiabaticity_profile(config, derive_scales(config))
+    np.testing.assert_array_equal(prof.beta, np.zeros(prof.times.size))
 
 
 def test_representative_time_is_deterministic():

@@ -57,6 +57,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
             # a JSON integer too large for a float
             (["derive"], {"a_m": 10 ** 400}, "a_m:"),
             (["adiabaticity"], {"saw_velocity_mps": 1e30}, "saw_velocity"),
+            # far above any band mass; ran with a 112-digit beta(t*)
+            (["adiabaticity"], {"effective_mass_ratio": 7.2e179},
+             "effective_mass_ratio"),
             (["twoqubit"], {"channel_separation_m": float("inf")},
              "channel_separation"),
             (["rabi", "--duration", "-1"], {}, "--duration"),
@@ -142,6 +145,24 @@ def test_beta_csv_splitting_is_e1_minus_e0(tmp_path):
     assert np.all(splitting > 0)
     assert splitting[t == summary["t_star"]].tolist() == \
         [summary["splitting_at_t_star"]]
+
+
+def test_beta_csv_second_half_mirrors_first(tmp_path):
+    """Sample 63 - i is the mirror image of sample i: same beta and levels."""
+    out = tmp_path / "out"
+    assert run(["adiabaticity", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "beta.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows[:, 1:], rows[::-1, 1:])
+
+
+@pytest.mark.filterwarnings("error")
+def test_far_barrier_runs_without_overflow_warnings(tmp_path):
+    """At a 1 mm wavelength cosh overflows far from the channel; the
+    barrier's limit there is 0, and nothing is printed to stderr."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"saw_wavelength_m": 0.001}))
+    assert run(["adiabaticity", "--config", str(cfg),
+                "--out", str(tmp_path / "out")]) == 0
 
 
 def test_derive_determinism(tmp_path):

@@ -193,9 +193,9 @@ def test_track_rejects_unordered_times():
 
 def test_dot_trajectory_continuity(qubit_solution):
     # moving-window qubit levels over the full period
-    traj, _ = pipeline.mirrored_trajectory(qubit_solution.config,
-                                           qubit_solution.scales)
-    assert traj.min_overlaps.min() >= DOT_MIN_OVERLAP_FLOOR
+    prof = pipeline.adiabaticity_profile(qubit_solution.config,
+                                         qubit_solution.scales)
+    assert prof.min_overlaps.min() >= DOT_MIN_OVERLAP_FLOOR
 
 
 def test_crossing_levels_follow_character():

@@ -1,3 +1,4 @@
+import pathlib
 import warnings
 from dataclasses import fields, replace
 
@@ -38,8 +39,8 @@ def test_qubit_solution_holds_only_t_star():
 
 
 def _count_work(monkeypatch, run):
-    """Eigensolves and well searches made by ``run()``."""
-    counts = {"solves": 0, "searches": 0}
+    """Eigensolves, well searches and beta evaluations made by ``run()``."""
+    counts = {"solves": 0, "searches": 0, "betas": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -51,6 +52,8 @@ def _count_work(monkeypatch, run):
                         counted("solves", pipeline.solve_lowest))
     monkeypatch.setattr(adiabatic, "find_well_minimum",
                         counted("searches", adiabatic.find_well_minimum))
+    monkeypatch.setattr(adiabatic, "adiabaticity_beta",
+                        counted("betas", adiabatic.adiabaticity_beta))
     run()
     return counts
 
@@ -59,62 +62,70 @@ def test_solve_qubit_solves_only_t_star(monkeypatch):
     half = pipeline.DEFAULT_N_TIMES // 2
     counts = _count_work(monkeypatch,
                          lambda: pipeline.solve_qubit(DeviceConfig()))
-    assert counts == {"solves": 1, "searches": half}
+    assert counts == {"solves": 1, "searches": half, "betas": 0}
 
 
-def test_mirrored_trajectory_solves_half_the_period(monkeypatch):
+def test_adiabaticity_profile_solves_half_the_period(monkeypatch):
     config = DeviceConfig()
     scales = derive_scales(config)
     half = pipeline.DEFAULT_N_TIMES // 2
     counts = _count_work(
-        monkeypatch, lambda: pipeline.mirrored_trajectory(config, scales))
-    assert counts == {"solves": half, "searches": half}
+        monkeypatch, lambda: pipeline.adiabaticity_profile(config, scales))
+    assert counts == {"solves": half, "searches": half, "betas": half}
+
+
+def test_profile_builds_no_level_trajectory():
+    """The period profile is plain arrays: no trajectory type, no
+    sign-alignment pass, and no eigenpair built outside the solver."""
+    for name in ("DotTrajectory", "aligned_trajectory",
+                 "mirrored_trajectory", "EigenPair"):
+        assert not hasattr(pipeline, name)
+    assert not hasattr(adiabatic, "adiabaticity_sweep")
+    package = pathlib.Path(pipeline.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name != "eigensolver.py":
+            assert "EigenPair(" not in path.read_text(), path.name
 
 
 @pytest.mark.parametrize("gamma, index", [(0.3625, 0), (0.55, 0), (0.65, 0),
                                           (0.2, 17)])
 def test_t_star_in_first_half(gamma, index):
     """Configs whose mirror-image samples tie in depth to rounding: t* is
-    the first-half sample, the same for solve_qubit and the trajectory."""
+    the first-half sample, the same for solve_qubit and the profile."""
     sol = pipeline.solve_qubit(DeviceConfig(gamma=gamma))
     times = pipeline.default_times(sol.scales)
     assert sol.t_star == times[index]
-    _, i = pipeline.mirrored_trajectory(sol.config, sol.scales)
-    assert i == index
+    prof = pipeline.adiabaticity_profile(sol.config, sol.scales)
+    assert prof.t_star_index == index
 
 
 @pytest.mark.parametrize("geometry", [{}, {"gamma": 0.55}],
                          ids=["default", "gamma_0.55"])
-def test_mirrored_trajectory_matches_full_tracking(geometry):
-    """The mirrored half of the trajectory against solving every sample."""
+def test_adiabaticity_profile_matches_full_tracking(geometry):
+    """The mirrored half of the profile against solving every sample."""
     config = DeviceConfig(**geometry)
     scales = derive_scales(config)
-    traj, i = pipeline.mirrored_trajectory(config, scales)
-    ref = oracles.track_dot_levels(traj.times, config, scales)
-    np.testing.assert_allclose(traj.centers, ref.centers, rtol=0, atol=1e-11)
-    np.testing.assert_allclose(traj.energies(), ref.energies(), rtol=1e-10,
+    prof = pipeline.adiabaticity_profile(config, scales)
+    ref = oracles.track_dot_levels(prof.times, config, scales)
+    ref_beta = [adiabatic.adiabaticity_beta(*pairs, t, grid, scales)
+                for t, pairs, grid in zip(ref.times, ref.levels, ref.grids)]
+    np.testing.assert_allclose(prof.energies, ref.energies(), rtol=1e-10,
                                atol=0)
-    for levels, ref_levels, grid, ref_grid in zip(traj.levels, ref.levels,
-                                                  traj.grids, ref.grids):
-        np.testing.assert_allclose(grid.points, ref_grid.points, rtol=0,
-                                   atol=1e-11)
-        for pair, ref_pair in zip(levels, ref_levels):
-            np.testing.assert_allclose(pair.wavefunction,
-                                       ref_pair.wavefunction, rtol=0,
-                                       atol=1e-9)
-    np.testing.assert_allclose(traj.min_overlaps, ref.min_overlaps, rtol=0,
-                               atol=1e-9)
-    # t* is the first sample here, which the sign alignment leaves as
-    # solved: it matches every-sample tracking and solve_qubit bit for bit
-    assert i == 0
+    np.testing.assert_allclose(prof.beta, ref_beta, rtol=1e-9, atol=0)
+    np.testing.assert_allclose(prof.min_overlaps, ref.min_overlaps, rtol=0,
+                               atol=1e-5)
+    # the second half repeats the first in reverse order, bit for bit
+    np.testing.assert_array_equal(prof.beta, prof.beta[::-1])
+    np.testing.assert_array_equal(prof.energies, prof.energies[::-1])
+    # t* is a solved sample: it matches every-sample tracking and
+    # solve_qubit bit for bit
+    i = prof.t_star_index
     sol = pipeline.solve_qubit(config)
-    assert traj.grids[i] == ref.grids[i] == sol.grid
-    for pair, ref_pair, sol_pair in zip(traj.levels[i], ref.levels[i],
-                                        sol.levels):
-        assert pair.energy == ref_pair.energy == sol_pair.energy
-        np.testing.assert_array_equal(pair.wavefunction,
-                                      ref_pair.wavefunction)
-        np.testing.assert_array_equal(pair.wavefunction, sol_pair.wavefunction)
+    assert i == 0
+    assert prof.times[i] == sol.t_star
+    assert prof.well_center == ref.centers[i] == sol.well_center
+    assert prof.beta[i] == ref_beta[i]
+    assert prof.energies[i].tolist() == [p.energy for p in sol.levels]
 
 
 def _drive(d01, d_diag):
