@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import potential
-from .eigensolver import EigenPair, Grid, matrix_element
+from .eigensolver import Levels
 from .params import DeviceConfig, DerivedScales
 
 DEGENERACY_FLOOR = 1e-12
@@ -19,19 +19,18 @@ class DegenerateSplittingError(ValueError):
     """Level splitting too small for a meaningful adiabaticity ratio."""
 
 
-def adiabaticity_beta(pair_m: EigenPair, pair_n: EigenPair, t: float,
-                      grid: Grid, scales: DerivedScales) -> float:
-    """Adiabaticity ratio between two instantaneous eigenstates at SI time t.
+def adiabaticity_beta(levels: Levels, t: float,
+                      scales: DerivedScales) -> float:
+    """Adiabaticity ratio between levels 0 and 1 at SI time t.
 
-    Grid and eigenpairs are in natural units (z/a coordinate).
+    The levels are in natural units (z/a coordinate).
     """
-    de = pair_m.energy - pair_n.energy
+    de = levels.energies[0] - levels.energies[1]
     if abs(de) <= DEGENERACY_FLOOR:
         raise DegenerateSplittingError(
             f"splitting {de:.3e} (natural units) below {DEGENERACY_FLOOR}")
-    dvdt = potential.saw_time_derivative(grid.points, t, scales)
-    num = abs(matrix_element(pair_m, pair_n, dvdt, grid))
-    return num / de**2
+    dvdt = potential.saw_time_derivative(levels.grid.points, t, scales)
+    return float(abs(levels.matrix(dvdt)[0, 1]) / de**2)
 
 
 def find_well_minimum(t: float, config: DeviceConfig, scales: DerivedScales,

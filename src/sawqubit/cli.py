@@ -4,8 +4,8 @@ Subcommands: derive, levels, adiabaticity, rabi, twoqubit, validate.
 All data files are deterministic (no timestamps inside them); volatile
 fields live only in the per-run manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validation failure.
+Exit codes: 0 success, 2 configuration error or an unwritable --out,
+3 numerical failure, 4 validation failure.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import (__version__, adiabatic, dynamics, oracles, pipeline, potential,
                twoqubit)
-from .eigensolver import SolverError, classify_bound
+from .eigensolver import BOUND_FRACTION, SolverError, bound_fractions
 from .params import ConfigError, DeviceConfig, derive_scales, load_config, \
     thermal_ratio
 
@@ -142,7 +142,6 @@ def cmd_derive(args) -> int:
         "thermal_ratio_vs_reference_splitting": check.ratio,
         "units": args.units,
     })
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "derived.json")
     _write_json(path, doc)
     print(f"T_period = {scales.T_period:.4e} s, "
@@ -184,7 +183,6 @@ def cmd_levels(args) -> int:
     else:
         times = pipeline.default_times(scales, 8)
     u = _Units(args.units, scales)
-    os.makedirs(args.out, exist_ok=True)
     outputs = []
     well_width = config.saw_wavelength / config.a  # natural units
     level_rows = []
@@ -192,8 +190,8 @@ def cmd_levels(args) -> int:
     zeta = pipeline.default_grid(config).points
     pot_z = _format_column(u.val(zeta * scales.natural_length, "m"))
     for i, t in enumerate(times):
-        pairs, grid, center = pipeline.solve_dot_levels(t, config, scales,
-                                                        count=args.levels)
+        levels, center = pipeline.solve_dot_levels(t, config, scales,
+                                                   count=args.levels)
         # potential curve over the full domain
         pot_path = os.path.join(args.out, f"potential_{i:02d}.csv")
         v = potential.effective(zeta, t, scales) * scales.natural_energy
@@ -204,15 +202,14 @@ def cmd_levels(args) -> int:
         # wavefunctions on the dot window
         wf_path = os.path.join(args.out, f"wavefunctions_{i:02d}.csv")
         header = [u.col("z", "m")] + [f"psi_{n}" for n in range(args.levels)]
-        cols = [u.val(grid.points * scales.natural_length, "m")]
-        cols += [p.wavefunction for p in pairs]
-        _write_csv(wf_path, header, cols)
+        cols = [u.val(levels.grid.points * scales.natural_length, "m")]
+        _write_csv(wf_path, header, cols + list(levels.states))
         outputs.append(wf_path)
-        for n, p in enumerate(pairs):
-            cls = classify_bound(p, grid, center, well_width)
+        fractions = bound_fractions(levels, center, well_width)
+        for n, (energy, frac) in enumerate(zip(levels.energies, fractions)):
             level_rows.append((u.val(t, "s"), n,
-                               u.val(scales.energy_to_si(p.energy), "J"),
-                               cls.bound, cls.mass_fraction))
+                               u.val(scales.energy_to_si(energy), "J"),
+                               frac >= BOUND_FRACTION, frac))
     lv_path = os.path.join(args.out, "levels.csv")
     _write_csv(lv_path,
                [u.col("t", "s"), "level_index", u.col("energy", "J"),
@@ -231,7 +228,6 @@ def cmd_adiabaticity(args) -> int:
     prof = pipeline.adiabaticity_profile(config, scales)
     i = prof.t_star_index
     u = _Units(args.units, scales)
-    os.makedirs(args.out, exist_ok=True)
     e0, e1 = scales.energy_to_si(prof.energies).T
     csv_path = os.path.join(args.out, "beta.csv")
     _write_csv(csv_path,
@@ -270,7 +266,6 @@ def cmd_rabi(args) -> int:
     traj = result.trajectory
     stride = max(1, (traj.times.size - 1) // (MAX_TRAJECTORY_ROWS - 1))
     sel = slice(None, None, stride)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "rabi.csv")
     _write_csv(csv_path,
                [u.col("t", "s"), "re_c0", "im_c0", "re_c1", "im_c1",
@@ -322,7 +317,6 @@ def cmd_twoqubit(args) -> int:
     t_max = duration if duration is not None else gate_time
     sweep_times = np.linspace(t_max / 32.0, t_max, 32)
     fids = twoqubit.rwa_fidelity(coeffs, np.append(sweep_times, gate_time))
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "fidelity.csv")
     _write_csv(csv_path, [u.col("t", "s"), "fidelity"],
                [u.val(sweep_times, "s"), fids[:-1]])
@@ -375,7 +369,6 @@ def cmd_validate(args) -> int:
     report["mass_splitting_report"] = masses
     overall = all(r.passed for r in results)
     report["overall_passed"] = overall
-    os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "validation.json")
     _write_json(path, report)
     for r in results:
@@ -443,7 +436,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        os.makedirs(args.out, exist_ok=True)
         return args.func(args)
+    except OSError as exc:
+        # --config read errors are ConfigErrors, so this is the output side
+        print(f"cannot write output {exc.filename or args.out}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import potential
 from .constants import CONSTANTS
-from .eigensolver import EigenPair, Grid, matrix_element
+from .eigensolver import Levels
 
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
 STEP_FACTOR = 1000.0  # suggested steps per period of the fastest frequency
@@ -80,22 +80,15 @@ class RabiTrajectory:
         return float(np.max(np.abs(self.p0 + self.p1 - 1.0)))
 
 
-def rabi_coefficients(psi0: EigenPair, psi1: EigenPair, V_e: float,
-                      grid: Grid) -> np.ndarray:
+def rabi_coefficients(levels: Levels, V_e: float) -> np.ndarray:
     """Coupling matrix D_ij = (V_e/hbar) <i| sech^2(z/a) |j> (rad/s).
 
     This is the matrix element of the actual drive perturbation
-    V_e cos(wt)/cosh^2(z/a), with V_e in J; the grid is in natural units
-    (z/a).
+    V_e cos(wt)/cosh^2(z/a), with V_e in J; the levels' grid is in natural
+    units (z/a).
     """
-    profile = potential.drive_profile(grid.points)
-    states = (psi0, psi1)
-    D = np.empty((2, 2))
-    for i in range(2):
-        for j in range(i, 2):
-            D[i, j] = D[j, i] = (V_e / CONSTANTS.hbar) * matrix_element(
-                states[i], states[j], profile, grid)
-    return D
+    return (V_e / CONSTANTS.hbar) * levels.matrix(
+        potential.drive_profile(levels.grid.points))
 
 
 def suggested_step(params: RabiParameters) -> float:

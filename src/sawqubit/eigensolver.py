@@ -3,7 +3,8 @@
 Discretization: 3-point central Laplacian on a uniform grid with Dirichlet
 boundaries (wavefunction implicitly zero one spacing outside the grid).
 The solver extracts only the lowest-k eigenpairs of the resulting symmetric
-tridiagonal matrix.
+tridiagonal matrix, as one :class:`Levels` record that carries its grid;
+matrix elements of solved states are taken only by ``Levels.matrix``.
 
 The Hamiltonian is in natural units only (see :mod:`sawqubit.params`):
 hbar = 1 and mass 1/2, so the kinetic prefactor hbar^2/(2m) is 1.  The
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 RESIDUAL_TOL = 1e-8
-# Smallest fraction of a state's weight inside the well window for
-# ``classify_bound`` to call it bound.
+# Smallest fraction of a state's weight inside the well window (see
+# ``bound_fractions``) for the state to count as bound.
 BOUND_FRACTION = 0.99
 
 
@@ -89,11 +90,29 @@ def build_hamiltonian(grid: Grid, potential) -> TridiagonalHamiltonian:
 
 
 @dataclass(frozen=True)
-class EigenPair:
-    """Eigenvalue and grid-normalized real eigenvector (sum |psi|^2 h = 1)."""
+class Levels:
+    """The lowest levels of one solve, on the grid they were solved on.
 
-    energy: float
-    wavefunction: np.ndarray
+    ``states`` holds one real, grid-normalized state per row
+    (sum psi^2 h = 1), in the order of the nondecreasing ``energies``.
+    """
+
+    energies: np.ndarray  # (count,)
+    states: np.ndarray  # (count, n_points)
+    grid: Grid
+
+    def matrix(self, f) -> np.ndarray:
+        """Symmetric (count, count) matrix of <i| f |j> by grid quadrature,
+        with f sampled at the grid nodes."""
+        if np.shape(f) != (self.grid.n_points,):
+            raise ValueError(f"operator shape {np.shape(f)} off the grid")
+        count = len(self.states)
+        m = np.empty((count, count))
+        for i in range(count):
+            for j in range(i, count):
+                m[i, j] = m[j, i] = np.sum(
+                    self.states[i] * f * self.states[j]) * self.grid.h
+        return m
 
 
 def _fix_sign(vec: np.ndarray) -> np.ndarray:
@@ -102,12 +121,11 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[i] < 0 else vec
 
 
-def solve_lowest(H: TridiagonalHamiltonian, count: int,
-                 grid: Grid) -> list[EigenPair]:
-    """Lowest ``count`` eigenpairs, energies nondecreasing, orthonormal.
+def solve_lowest(H: TridiagonalHamiltonian, count: int, grid: Grid) -> Levels:
+    """Lowest ``count`` levels of H, energies nondecreasing, orthonormal.
 
-    Normalization uses the spacing h of ``grid``, so that
-    sum |psi_i|^2 h = 1.
+    Each state is normalized with the spacing h of ``grid``
+    (sum |psi_i|^2 h = 1) and has its largest-magnitude component positive.
     """
     # imported here: scipy.linalg costs every process ~0.2-0.3 s to load,
     # and most subcommands never solve
@@ -122,7 +140,7 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int,
     except Exception as exc:  # pragma: no cover - LAPACK failure path
         raise SolverError(f"tridiagonal eigensolver failed for n={n}, "
                           f"count={count}: {exc}") from exc
-    pairs = []
+    states = np.empty((count, n))
     for i in range(count):
         vec = _fix_sign(v[:, i]) / np.sqrt(grid.h)
         resid = np.linalg.norm(H.apply(vec) - w[i] * vec) / np.linalg.norm(vec)
@@ -130,35 +148,21 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int,
             raise SolverError(
                 f"eigen-residual {resid:.3e} too large for level {i} "
                 f"(energy {w[i]:.6e}, n={n})")
-        pairs.append(EigenPair(energy=float(w[i]), wavefunction=vec))
-    return pairs
+        states[i] = vec
+    return Levels(energies=w, states=states, grid=grid)
 
 
-@dataclass(frozen=True)
-class BoundClassification:
-    bound: bool
-    mass_fraction: float
-
-
-def classify_bound(pair: EigenPair, grid: Grid, well_center: float,
-                   well_width: float) -> BoundClassification:
-    """Is the state localized in the well window [center +/- width/2]?"""
+def bound_fractions(levels: Levels, well_center: float,
+                    well_width: float) -> np.ndarray:
+    """Fraction of each state's weight inside the well window
+    [center +/- width/2]."""
     if not (well_width > 0):
         raise ValueError("well_width must be positive")
+    grid = levels.grid
     lo, hi = well_center - well_width / 2.0, well_center + well_width / 2.0
     if hi < grid.z_min or lo > grid.z_max:
         raise ValueError("well window lies outside the grid")
     z = grid.points
     mask = (z >= lo) & (z <= hi)
-    frac = float(np.sum(pair.wavefunction[mask] ** 2) * grid.h)
-    return BoundClassification(bound=frac >= BOUND_FRACTION,
-                               mass_fraction=frac)
-
-
-def matrix_element(bra: EigenPair, ket: EigenPair, f, grid: Grid) -> float:
-    """<bra| f |ket> by grid quadrature, with f sampled at the grid nodes;
-    symmetric for real states."""
-    if bra.wavefunction.shape != ket.wavefunction.shape or \
-            bra.wavefunction.shape != (grid.n_points,):
-        raise ValueError("bra/ket/grid size mismatch")
-    return float(np.sum(bra.wavefunction * f * ket.wavefunction) * grid.h)
+    return np.array([np.sum(psi[mask] ** 2)
+                     for psi in levels.states]) * grid.h

@@ -47,8 +47,7 @@ class OracleResult:
 def _solve_energies(v, z_half: float, n_points: int, count: int) -> np.ndarray:
     grid = build_grid(-z_half, z_half, n_points)
     H = build_hamiltonian(grid, v)
-    pairs = solve_lowest(H, count, grid=grid)
-    return np.array([p.energy for p in pairs])
+    return solve_lowest(H, count, grid=grid).energies
 
 
 def sech_well_energies(depth: float, count: int) -> np.ndarray:
@@ -84,7 +83,7 @@ def check_box() -> OracleResult:
     h = 1.0 / (GRID_POINTS + 1)
     grid = build_grid(h, 1.0 - h, GRID_POINTS)
     H = build_hamiltonian(grid, lambda z: 0.0 * z)
-    num = np.array([p.energy for p in solve_lowest(H, 3, grid=grid)])
+    num = solve_lowest(H, 3, grid=grid).energies
     exact = np.array([(n * math.pi) ** 2 for n in range(1, 4)])
     rel = np.abs(num - exact) / exact
     return OracleResult(
@@ -348,13 +347,12 @@ class TrackedLevels:
     """Dot levels solved at every sample, each on its own window grid."""
 
     times: np.ndarray
-    levels: list  # levels[i][n] = EigenPair
-    grids: list  # window Grid per time
+    levels: list  # one Levels per time
     centers: np.ndarray  # well center (z/a) per time
     min_overlaps: np.ndarray  # per level, between neighbouring samples
 
     def energies(self) -> np.ndarray:
-        return np.array([[p.energy for p in step] for step in self.levels])
+        return np.array([step.energies for step in self.levels])
 
 
 def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
@@ -368,12 +366,11 @@ def track_dot_levels(times, config: DeviceConfig, scales: DerivedScales,
     diffs = np.diff(times)
     if times.size < 1 or not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise ValueError("times must be nonempty and strictly monotonic")
-    levels, grids, centers = zip(*(
+    levels, centers = zip(*(
         pipeline.solve_dot_levels(t, config, scales, count) for t in times))
     return TrackedLevels(
-        times=times, levels=list(levels), grids=list(grids),
-        centers=np.array(centers), min_overlaps=pipeline.min_level_overlaps(
-            [[p.wavefunction for p in pairs] for pairs in levels], grids))
+        times=times, levels=list(levels), centers=np.array(centers),
+        min_overlaps=pipeline.min_level_overlaps(list(levels)))
 
 
 def run_all() -> list[OracleResult]:

@@ -14,7 +14,8 @@ import numpy as np
 
 from . import adiabatic, dynamics, potential, twoqubit
 from .constants import CONSTANTS
-from .eigensolver import Grid, build_grid, build_hamiltonian, solve_lowest
+from .eigensolver import (Grid, Levels, build_grid, build_hamiltonian,
+                          solve_lowest)
 from .params import (DOT_WINDOW_POINTS, DeviceConfig, DerivedScales,
                      derive_scales)
 
@@ -58,39 +59,38 @@ def default_times(scales: DerivedScales,
 # surrounding potential crests.  Its resolution, DOT_WINDOW_POINTS, lives
 # in params, whose derived scales keep the window's kinetic term finite.
 def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
-                     count: int) -> tuple[list, Grid, float]:
+                     count: int) -> tuple[Levels, float]:
     """Lowest ``count`` levels of the well nearest the barrier at SI time t.
 
-    Returns (eigenpairs, window grid, well center in z/a units).  The window
-    walls sit on the potential crests flanking the well, so deep dot levels
-    are insensitive to them.
+    Returns (levels on the window grid, well center in z/a units).  The
+    window walls sit on the potential crests flanking the well, so deep dot
+    levels are insensitive to them.
     """
     center = adiabatic.find_well_minimum(t, config, scales)
-    return (*_solve_window(t, center, config, scales, count), center)
+    return _solve_window(t, center, config, scales, count), center
 
 
 def _solve_window(t: float, center: float, config: DeviceConfig,
-                  scales: DerivedScales, count: int) -> tuple[list, Grid]:
+                  scales: DerivedScales, count: int) -> Levels:
     """Lowest ``count`` levels on the lambda-wide window around ``center``."""
     half = 0.5 * config.saw_wavelength / config.a
     grid = build_grid(center - half, center + half, DOT_WINDOW_POINTS)
     H = build_hamiltonian(
         grid, lambda zeta: potential.effective(zeta, t, scales))
-    return solve_lowest(H, count, grid=grid), grid
+    return solve_lowest(H, count, grid=grid)
 
 
-def min_level_overlaps(states: list, grids: list) -> np.ndarray:
+def min_level_overlaps(samples: list[Levels]) -> np.ndarray:
     """Smallest |overlap| of each level between neighbouring samples.
 
-    ``states[i]`` holds the level wavefunctions of sample i, on
-    ``grids[i]``; each is interpolated onto the next sample's window.
+    Each sample's states are interpolated onto the next sample's window.
     """
-    min_ov = np.ones(len(states[0]))
-    for prev, prev_grid, cur, grid in zip(states, grids, states[1:],
-                                          grids[1:]):
-        ov = [np.sum(np.interp(grid.points, prev_grid.points, p, left=0.0,
-                               right=0.0) * c) * grid.h
-              for p, c in zip(prev, cur)]
+    min_ov = np.ones(len(samples[0].states))
+    for prev, cur in zip(samples, samples[1:]):
+        z = cur.grid.points
+        ov = [np.sum(np.interp(z, prev.grid.points, p, left=0.0,
+                               right=0.0) * c) * cur.grid.h
+              for p, c in zip(prev.states, cur.states)]
         min_ov = np.minimum(min_ov, np.abs(ov))
     return min_ov
 
@@ -101,18 +101,17 @@ class QubitSolution:
 
     config: DeviceConfig
     scales: DerivedScales
-    grid: Grid  # window grid at t*
-    levels: list  # the QUBIT_LEVELS eigenpairs at t*, solver sign convention
+    levels: Levels  # the QUBIT_LEVELS levels at t*, solver sign convention
     t_star: float  # s
     well_center: float  # z/a units, at t*
 
     @property
     def E0(self) -> float:  # J
-        return self.scales.energy_to_si(self.levels[0].energy)
+        return self.scales.energy_to_si(self.levels.energies[0])
 
     @property
     def E1(self) -> float:  # J
-        return self.scales.energy_to_si(self.levels[1].energy)
+        return self.scales.energy_to_si(self.levels.energies[1])
 
     @property
     def splitting(self) -> float:  # J
@@ -158,10 +157,10 @@ def solve_qubit(config: DeviceConfig) -> QubitSolution:
     """The qubit levels at t*, the sample of strongest confinement."""
     scales = derive_scales(config)
     times, centers, idx = _first_half(config, scales)
-    levels, grid = _solve_window(times[idx], centers[idx], config, scales,
-                                 QUBIT_LEVELS)
-    return QubitSolution(config=config, scales=scales, grid=grid,
-                         levels=levels, t_star=float(times[idx]),
+    levels = _solve_window(times[idx], centers[idx], config, scales,
+                           QUBIT_LEVELS)
+    return QubitSolution(config=config, scales=scales, levels=levels,
+                         t_star=float(times[idx]),
                          well_center=float(centers[idx]))
 
 
@@ -175,16 +174,16 @@ def adiabaticity_profile(config: DeviceConfig,
     image; the second-half neighbours mirror the first-half ones.
     """
     times, centers, idx = _first_half(config, scales)
-    levels, grids = zip(*(_solve_window(t, c, config, scales, QUBIT_LEVELS)
-                          for t, c in zip(times, centers)))
-    beta = np.array([adiabatic.adiabaticity_beta(*pairs, t, grid, scales)
-                     for t, pairs, grid in zip(times, levels, grids)])
-    energies = np.array([[p.energy for p in pairs] for pairs in levels])
-    states = [[p.wavefunction for p in pairs] for pairs in levels]
-    g = grids[-1]
-    min_ov = min_level_overlaps(
-        states + [[psi[::-1] for psi in states[-1]]],
-        [*grids, Grid(-g.z_max, -g.z_min, g.n_points)])
+    samples = [_solve_window(t, c, config, scales, QUBIT_LEVELS)
+               for t, c in zip(times, centers)]
+    beta = np.array([adiabatic.adiabaticity_beta(levels, t, scales)
+                     for t, levels in zip(times, samples)])
+    energies = np.array([levels.energies for levels in samples])
+    last = samples[-1]
+    g = last.grid
+    min_ov = min_level_overlaps(samples + [Levels(
+        last.energies, last.states[:, ::-1],
+        Grid(-g.z_max, -g.z_min, g.n_points))])
     return AdiabaticityProfile(
         times=default_times(scales), beta=np.concatenate([beta, beta[::-1]]),
         energies=np.concatenate([energies, energies[::-1]]),
@@ -218,7 +217,7 @@ def rabi_parameters(sol: QubitSolution) -> dynamics.RabiParameters:
     Rabi integration.
     """
     v_e = sol.config.drive_ratio * sol.scales.V_S
-    D = dynamics.rabi_coefficients(*sol.levels, v_e, sol.grid)
+    D = dynamics.rabi_coefficients(sol.levels, v_e)
     return dynamics.RabiParameters(
         omega0=sol.omega0, omega1=sol.omega1,
         omega_drive=sol.omega1 - sol.omega0, D=D)
@@ -259,8 +258,9 @@ def simulate_rabi(sol: QubitSolution,
 
     The trajectory spans ``duration`` seconds when given, else
     RABI_SPAN_PERIODS estimated Rabi periods; the period extraction
-    smooths over one drive period to suppress micromotion.  Warns (StrongDriveWarning) before
-    integrating when the drive is too strong for the estimate.
+    smooths over one drive period to suppress micromotion.  Warns
+    (StrongDriveWarning) before integrating when the drive is too strong
+    for the estimate.
     """
     params = rabi_parameters(sol)
     if params.D[0, 1] == 0:
@@ -298,7 +298,7 @@ def twoqubit_coefficients_from_solution(
         sol: QubitSolution, d: float) -> tuple[twoqubit.PauliCoefficients,
                                                twoqubit.ZMatrixElements]:
     """Coupling coefficients with both channels modeled by the solved dot."""
-    zn = twoqubit.dot_matrix_elements(*sol.levels, sol.grid)
+    zn = twoqubit.dot_matrix_elements(sol.levels)
     z = twoqubit.ZMatrixElements(
         z00=zn.z00 * sol.scales.natural_length,
         z11=zn.z11 * sol.scales.natural_length,

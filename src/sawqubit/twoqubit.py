@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .eigensolver import EigenPair, Grid, matrix_element
+from .eigensolver import Levels
 
 # Single-qubit operators in the (|1>, |0>) basis.
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -64,15 +64,11 @@ class ZMatrixElements:
     z01: float
 
 
-def dot_matrix_elements(psi0: EigenPair, psi1: EigenPair,
-                        grid: Grid) -> ZMatrixElements:
-    """<0|z|0>, <1|z|1>, <0|z|1> in the grid's length unit."""
-    z = grid.points
-    return ZMatrixElements(
-        z00=matrix_element(psi0, psi0, z, grid),
-        z11=matrix_element(psi1, psi1, z, grid),
-        z01=matrix_element(psi0, psi1, z, grid),
-    )
+def dot_matrix_elements(levels: Levels) -> ZMatrixElements:
+    """<0|z|0>, <1|z|1>, <0|z|1> in the length unit of the levels' grid."""
+    z = levels.matrix(levels.grid.points)
+    return ZMatrixElements(z00=float(z[0, 0]), z11=float(z[1, 1]),
+                           z01=float(z[0, 1]))
 
 
 @dataclass(frozen=True)

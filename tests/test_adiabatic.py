@@ -4,8 +4,8 @@ import pytest
 from sawqubit import adiabatic, pipeline, potential
 from sawqubit.adiabatic import (DegenerateSplittingError, adiabaticity_beta,
                                 find_well_minimum, representative_time)
-from sawqubit.eigensolver import (EigenPair, build_grid, build_hamiltonian,
-                                  matrix_element, solve_lowest)
+from sawqubit.eigensolver import (Levels, build_grid, build_hamiltonian,
+                                  solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
 FD_RTOL = 1e-5
@@ -18,8 +18,8 @@ BETA_MAX = 0.01933975317338466
 
 
 def _dot_pair(config, scales, t, count=2):
-    pairs, grid, _ = pipeline.solve_dot_levels(t, config, scales, count=count)
-    return pairs, grid
+    levels, _ = pipeline.solve_dot_levels(t, config, scales, count=count)
+    return levels
 
 
 def test_static_potential_gives_zero_beta():
@@ -29,28 +29,29 @@ def test_static_potential_gives_zero_beta():
     grid = build_grid(0.5, 2.5, 512)
     H = build_hamiltonian(
         grid, lambda zeta: potential.effective(zeta, 0.0, scales))
-    pairs = solve_lowest(H, 2, grid=grid)
-    beta = adiabaticity_beta(pairs[0], pairs[1], 0.0, grid, scales)
+    levels = solve_lowest(H, 2, grid=grid)
+    beta = adiabaticity_beta(levels, 0.0, scales)
     assert beta == 0.0
 
 
 def test_beta_symmetric_in_level_exchange(qubit_solution):
     sol = qubit_solution
-    pairs = sol.levels
-    grid = sol.grid
-    b01 = adiabaticity_beta(pairs[0], pairs[1], sol.t_star, grid, sol.scales)
-    b10 = adiabaticity_beta(pairs[1], pairs[0], sol.t_star, grid, sol.scales)
+    levels = sol.levels
+    swapped = Levels(energies=levels.energies[::-1],
+                     states=levels.states[::-1], grid=levels.grid)
+    b01 = adiabaticity_beta(levels, sol.t_star, sol.scales)
+    b10 = adiabaticity_beta(swapped, sol.t_star, sol.scales)
     assert b01 == pytest.approx(b10, rel=1e-12)
 
 
 def test_degenerate_pair_rejected():
     grid = build_grid(-1.0, 1.0, 64)
     psi = np.ones(64) / np.sqrt(64 * grid.h)
-    a = EigenPair(energy=1.0, wavefunction=psi)
-    b = EigenPair(energy=1.0 + 1e-13, wavefunction=psi)
+    levels = Levels(energies=np.array([1.0, 1.0 + 1e-13]),
+                    states=np.stack([psi, psi]), grid=grid)
     scales = derive_scales(DeviceConfig())
     with pytest.raises(DegenerateSplittingError):
-        adiabaticity_beta(a, b, 0.0, grid, scales)
+        adiabaticity_beta(levels, 0.0, scales)
 
 
 def test_beta_matches_finite_difference_hamiltonian(qubit_solution):
@@ -59,16 +60,16 @@ def test_beta_matches_finite_difference_hamiltonian(qubit_solution):
     sol = qubit_solution
     scales = sol.scales
     t = sol.t_star
-    pairs = sol.levels
-    grid = sol.grid
-    analytic = adiabaticity_beta(pairs[0], pairs[1], t, grid, scales)
+    levels = sol.levels
+    grid = levels.grid
+    analytic = adiabaticity_beta(levels, t, scales)
 
     delta = scales.T_period / 1e6
     vp = potential.effective(grid.points, t + delta, scales)
     vm = potential.effective(grid.points, t - delta, scales)
     dvdt_nat = (vp - vm) / scales.time_to_natural(2.0 * delta)
-    de = pairs[0].energy - pairs[1].energy
-    fd = abs(matrix_element(pairs[0], pairs[1], dvdt_nat, grid)) / de**2
+    de = levels.energies[0] - levels.energies[1]
+    fd = abs(levels.matrix(dvdt_nat)[0, 1]) / de**2
     assert fd == pytest.approx(analytic, rel=FD_RTOL)
 
 
@@ -77,11 +78,11 @@ def test_beta_scales_linearly_in_saw_amplitude():
     base = DeviceConfig(gamma=0.01)
     base_scales = derive_scales(base)
     t = 0.3 * base_scales.T_period
-    pairs, grid = _dot_pair(base, base_scales, t)
+    levels = _dot_pair(base, base_scales, t)
     betas = {}
     for gamma in (0.01, 0.02):
         scales = derive_scales(DeviceConfig(gamma=gamma))
-        betas[gamma] = adiabaticity_beta(pairs[0], pairs[1], t, grid, scales)
+        betas[gamma] = adiabaticity_beta(levels, t, scales)
     ratio = (betas[0.02] / 0.02) / (betas[0.01] / 0.01)
     assert ratio == pytest.approx(1.0, abs=0.1)
 

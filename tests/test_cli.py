@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sawqubit import cli
+from sawqubit import cli, pipeline
 from sawqubit.params import CONFIG_FILE_KEYS
 
 DATA_FILES_DERIVE = ["derived.json"]
@@ -125,6 +125,32 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         assert run(args + ["--config", str(cfg),
                            "--out", str(tmp_path / "out")]) == 3
         assert culprit in capsys.readouterr().err
+
+
+def test_unwritable_out_exit_code(tmp_path, capsys, monkeypatch):
+    """An --out that cannot be created or written exits 2 with one line
+    naming the path; it is created before any solve."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run(["derive", "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err
+    assert str(blocker) in err and len(err.splitlines()) == 1
+
+    def no_solve(config):
+        raise AssertionError("solved before --out was created")
+
+    monkeypatch.setattr(pipeline, "solve_qubit", no_solve)
+    sub = blocker / "sub"
+    assert run(["rabi", "--out", str(sub)]) == 2
+    err = capsys.readouterr().err
+    assert str(sub) in err and len(err.splitlines()) == 1
+
+    # the directory exists, but a data file cannot be written
+    out = tmp_path / "out"
+    (out / "derived.json").mkdir(parents=True)
+    assert run(["derive", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out / "derived.json") in err and len(err.splitlines()) == 1
 
 
 def test_console_times_keep_their_digits(tmp_path, capsys):

@@ -250,5 +250,5 @@ def test_coefficient_matrix_symmetric(qubit_solution, rabi_result):
 
 def test_zero_drive_amplitude_gives_zero_coupling(qubit_solution):
     sol = qubit_solution
-    D = dynamics.rabi_coefficients(*sol.levels, 0.0, sol.grid)
+    D = dynamics.rabi_coefficients(sol.levels, 0.0)
     np.testing.assert_array_equal(D, np.zeros((2, 2)))

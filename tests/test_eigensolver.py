@@ -5,9 +5,8 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from sawqubit import oracles, pipeline
-from sawqubit.eigensolver import (build_grid, build_hamiltonian,
-                                  classify_bound, matrix_element,
-                                  solve_lowest)
+from sawqubit.eigensolver import (BOUND_FRACTION, bound_fractions,
+                                  build_grid, build_hamiltonian, solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
 ORTHO_TOL = 1e-8
@@ -74,28 +73,23 @@ def test_convergence_order_oracle(oracle_results):
 def test_orthonormality():
     grid = build_grid(-12.0, 12.0, 2048)
     H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2)
-    pairs = solve_lowest(H, 4, grid=grid)
-    ones = np.ones(grid.n_points)
-    for i, p in enumerate(pairs):
-        norm = matrix_element(p, p, ones, grid)
-        assert abs(norm - 1.0) <= NORM_TOL
-        for q in pairs[i + 1:]:
-            overlap = matrix_element(p, q, ones, grid)
-            assert abs(overlap) <= ORTHO_TOL
+    gram = solve_lowest(H, 4, grid=grid).matrix(np.ones(grid.n_points))
+    assert np.abs(np.diag(gram) - 1.0).max() <= NORM_TOL
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= ORTHO_TOL
 
 
 def test_ground_energy_near_variational_bound():
     exact = oracles.sech_well_energies(25.0, 1)[0]
     grid = build_grid(-12.0, 12.0, 4096)
     H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2)
-    ground = solve_lowest(H, 1, grid=grid)[0].energy
+    ground = solve_lowest(H, 1, grid=grid).energies[0]
     assert ground >= exact - SPECTRUM_RTOL * abs(exact)
 
 
 def test_energies_nondecreasing():
     grid = build_grid(-12.0, 12.0, 1024)
     H = build_hamiltonian(grid, lambda z: -25.0 / np.cosh(z) ** 2)
-    energies = [p.energy for p in solve_lowest(H, 5, grid=grid)]
+    energies = solve_lowest(H, 5, grid=grid).energies.tolist()
     assert energies == sorted(energies)
 
 
@@ -111,55 +105,69 @@ def test_solve_count_bounds():
 def test_sign_convention():
     grid = build_grid(-10.0, 10.0, 1024)
     H = build_hamiltonian(grid, lambda z: z ** 2)
-    for p in solve_lowest(H, 3, grid=grid):
-        i = int(np.argmax(np.abs(p.wavefunction)))
-        assert p.wavefunction[i] > 0
+    for psi in solve_lowest(H, 3, grid=grid).states:
+        assert psi[np.argmax(np.abs(psi))] > 0
 
 
 def test_harmonic_position_element():
     # <0|z|1> = sqrt(hbar / (2 m omega0)) = sqrt(1/2) for V = z^2, m = 1/2
     grid = build_grid(-10.0, 10.0, 4096)
     H = build_hamiltonian(grid, lambda z: z ** 2)
-    p0, p1 = solve_lowest(H, 2, grid=grid)
-    value = matrix_element(p0, p1, grid.points, grid)
+    value = solve_lowest(H, 2, grid=grid).matrix(grid.points)[0, 1]
     assert abs(value) == pytest.approx(math.sqrt(0.5), rel=SPECTRUM_RTOL)
 
 
-def test_classify_bound_harmonic_ground():
+def test_matrix_is_the_per_pair_quadrature():
+    """Each element is the quadrature sum(psi_i f psi_j) h of its pair,
+    computed once for i <= j and mirrored, so the matrix is symmetric bit
+    for bit."""
+    grid = build_grid(-10.0, 10.0, 1024)
+    levels = solve_lowest(build_hamiltonian(grid, lambda z: z ** 2), 3,
+                          grid=grid)
+    f = np.exp(0.3 * grid.points)  # neither even nor odd
+    m = levels.matrix(f)
+    np.testing.assert_array_equal(m, m.T)
+    psi = levels.states
+    for i in range(3):
+        for j in range(i, 3):
+            assert m[i, j] == np.sum(psi[i] * f * psi[j]) * grid.h
+
+
+def test_bound_fractions_harmonic_ground():
     grid = build_grid(-10.0, 10.0, 2048)
     H = build_hamiltonian(grid, lambda z: z ** 2)
-    ground = solve_lowest(H, 1, grid=grid)[0]
+    levels = solve_lowest(H, 1, grid=grid)
     # sigma = sqrt(hbar/(2 m omega0)) = sqrt(1/2); window +/- 5 sigma
-    cls = classify_bound(ground, grid, 0.0, 10.0 * math.sqrt(0.5))
-    assert cls.bound
-    assert cls.mass_fraction > 0.9999
+    (frac,) = bound_fractions(levels, 0.0, 10.0 * math.sqrt(0.5))
+    assert frac >= BOUND_FRACTION
+    assert frac > 0.9999
+    assert frac == pytest.approx(0.9999994323877395, rel=1e-12)
 
 
-def test_classify_bound_delocalized_state():
+def test_bound_fractions_delocalized_state():
     grid = build_grid(0.0, 1.0, 512)
     H = build_hamiltonian(grid, lambda z: 0.0 * z)
-    ground = solve_lowest(H, 1, grid=grid)[0]
-    cls = classify_bound(ground, grid, 0.5, 0.1)
-    assert not cls.bound
+    levels = solve_lowest(H, 1, grid=grid)
+    (frac,) = bound_fractions(levels, 0.5, 0.1)
+    assert frac < BOUND_FRACTION
+    assert frac == pytest.approx(0.20102513983309728, rel=1e-12)
 
 
-def test_classify_bound_window_outside_grid():
+def test_bound_fractions_window_outside_grid():
     grid = build_grid(0.0, 1.0, 64)
     H = build_hamiltonian(grid, lambda z: 0.0 * z)
-    ground = solve_lowest(H, 1, grid=grid)[0]
+    levels = solve_lowest(H, 1, grid=grid)
     with pytest.raises(ValueError):
-        classify_bound(ground, grid, 5.0, 0.5)
+        bound_fractions(levels, 5.0, 0.5)
 
 
-def test_matrix_element_grid_mismatch():
-    grid_a = build_grid(-1.0, 1.0, 64)
-    grid_b = build_grid(-1.0, 1.0, 128)
-    pa = solve_lowest(build_hamiltonian(grid_a, lambda z: z ** 2), 1,
-                      grid=grid_a)[0]
-    pb = solve_lowest(build_hamiltonian(grid_b, lambda z: z ** 2), 1,
-                      grid=grid_b)[0]
-    with pytest.raises(ValueError):
-        matrix_element(pa, pb, grid_a.points, grid_a)
+def test_matrix_rejects_wrong_length_operator():
+    grid = build_grid(-1.0, 1.0, 64)
+    levels = solve_lowest(build_hamiltonian(grid, lambda z: z ** 2), 1,
+                          grid=grid)
+    for f in (np.ones(63), np.ones(128), np.ones((64, 1))):
+        with pytest.raises(ValueError):
+            levels.matrix(f)
 
 
 def test_track_static_potential():
@@ -210,20 +218,19 @@ def test_crossing_levels_follow_character():
     left_index = None
     for delta in np.linspace(2.0, -2.0, 9):
         H = build_hamiltonian(grid, double_well(delta))
-        pairs = solve_lowest(H, 2, grid=grid)
+        states = solve_lowest(H, 2, grid=grid).states
         if prev is None:
             # level 0 starts in the deeper (left) well
-            weight_left = np.sum(pairs[0].wavefunction[grid.points < 0] ** 2)
+            weight_left = np.sum(states[0][grid.points < 0] ** 2)
             assert weight_left * grid.h > 0.99
             left_index = 0
         else:
-            overlap = np.array(
-                [[abs(np.sum(p.wavefunction * q.wavefunction) * grid.h)
-                  for q in pairs] for p in prev])
+            overlap = np.array([[abs(np.sum(p * q) * grid.h)
+                                 for q in states] for p in prev])
             row, col = linear_sum_assignment(-overlap)
             left_index = col[left_index]
-        prev = pairs
+        prev = states
     # after the swap the left-well state is the higher-energy one
     assert left_index == 1
-    weight_left = np.sum(prev[1].wavefunction[grid.points < 0] ** 2)
+    weight_left = np.sum(prev[1][grid.points < 0] ** 2)
     assert weight_left * grid.h > 0.99

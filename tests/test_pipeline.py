@@ -1,11 +1,12 @@
 import pathlib
+import re
 import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, dynamics, oracles, pipeline
+from sawqubit import adiabatic, dynamics, eigensolver, oracles, pipeline
 from sawqubit.params import DeviceConfig, derive_scales
 
 
@@ -35,7 +36,7 @@ def test_rescale_solution_rejects_changed_natural_problem():
 
 def test_qubit_solution_holds_only_t_star():
     names = {f.name for f in fields(pipeline.QubitSolution)}
-    assert not names & {"trajectory", "t_star_index"}
+    assert not names & {"trajectory", "t_star_index", "grid"}
 
 
 def _count_work(monkeypatch, run):
@@ -76,15 +77,21 @@ def test_adiabaticity_profile_solves_half_the_period(monkeypatch):
 
 def test_profile_builds_no_level_trajectory():
     """The period profile is plain arrays: no trajectory type, no
-    sign-alignment pass, and no eigenpair built outside the solver."""
+    sign-alignment pass, and the solved levels travel as one
+    ``eigensolver.Levels`` record, with no per-level pair type, no
+    free-standing matrix element and no per-level bound classifier."""
     for name in ("DotTrajectory", "aligned_trajectory",
                  "mirrored_trajectory", "EigenPair"):
         assert not hasattr(pipeline, name)
     assert not hasattr(adiabatic, "adiabaticity_sweep")
+    for name in ("EigenPair", "matrix_element", "classify_bound",
+                 "BoundClassification"):
+        assert not hasattr(eigensolver, name)
     package = pathlib.Path(pipeline.__file__).parent
     for path in package.glob("*.py"):
-        if path.name != "eigensolver.py":
-            assert "EigenPair(" not in path.read_text(), path.name
+        text = path.read_text()
+        assert "EigenPair" not in text, path.name
+        assert not re.search(r"\.(wavefunction|energy)\b", text), path.name
 
 
 @pytest.mark.parametrize("gamma, index", [(0.3625, 0), (0.55, 0), (0.65, 0),
@@ -107,8 +114,8 @@ def test_adiabaticity_profile_matches_full_tracking(geometry):
     scales = derive_scales(config)
     prof = pipeline.adiabaticity_profile(config, scales)
     ref = oracles.track_dot_levels(prof.times, config, scales)
-    ref_beta = [adiabatic.adiabaticity_beta(*pairs, t, grid, scales)
-                for t, pairs, grid in zip(ref.times, ref.levels, ref.grids)]
+    ref_beta = [adiabatic.adiabaticity_beta(levels, t, scales)
+                for t, levels in zip(ref.times, ref.levels)]
     np.testing.assert_allclose(prof.energies, ref.energies(), rtol=1e-10,
                                atol=0)
     np.testing.assert_allclose(prof.beta, ref_beta, rtol=1e-9, atol=0)
@@ -125,7 +132,7 @@ def test_adiabaticity_profile_matches_full_tracking(geometry):
     assert prof.times[i] == sol.t_star
     assert prof.well_center == ref.centers[i] == sol.well_center
     assert prof.beta[i] == ref_beta[i]
-    assert prof.energies[i].tolist() == [p.energy for p in sol.levels]
+    assert prof.energies[i].tolist() == sol.levels.energies.tolist()
 
 
 def _drive(d01, d_diag):

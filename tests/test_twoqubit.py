@@ -268,5 +268,5 @@ def test_solution_matrix_elements_are_negative(qubit_solution):
     """The dot sits left of the barrier at t*, so all position elements
     share the well's sign, as with the reference fixture values."""
     sol = qubit_solution
-    z = dot_matrix_elements(*sol.levels, sol.grid)
+    z = dot_matrix_elements(sol.levels)
     assert z.z00 < 0 and z.z11 < 0
