@@ -40,8 +40,6 @@ _FMT = "%.16e"
 # Rows formatted and written at a time; bounds the text held in memory.
 CSV_BLOCK_ROWS = 1024
 
-MAX_TRAJECTORY_ROWS = 4001
-
 
 def _format_column(values: np.ndarray) -> list[str]:
     """One CSV cell per value: %d for integer or bool dtypes, else %.16e."""
@@ -264,16 +262,12 @@ def cmd_rabi(args) -> int:
     u = _Units(args.units, scales)
     result = pipeline.simulate_rabi(sol, duration=duration)
     traj = result.trajectory
-    stride = max(1, (traj.times.size - 1) // (MAX_TRAJECTORY_ROWS - 1))
-    sel = slice(None, None, stride)
     csv_path = os.path.join(args.out, "rabi.csv")
     _write_csv(csv_path,
                [u.col("t", "s"), "re_c0", "im_c0", "re_c1", "im_c1",
                 "p0", "p1"],
-               [u.val(traj.times[sel], "s"),
-                traj.c0[sel].real, traj.c0[sel].imag,
-                traj.c1[sel].real, traj.c1[sel].imag,
-                traj.p0[sel], traj.p1[sel]])
+               [u.val(traj.times, "s"), traj.c0.real, traj.c0.imag,
+                traj.c1.real, traj.c1.imag, traj.p0, traj.p1])
     summary = {
         "rabi_period": u.val(result.period.period, "s"),
         "rabi_period_method": result.period.method,

@@ -11,8 +11,11 @@ deterministic, regression-friendly output.  Being linear, each RK4 step is a
 midpoint and end.  Its coefficients are found once per integration; a chunk
 of step matrices is then one BLAS product with the cosine monomials, and
 the matrices are applied by a blocked prefix scan, so no Python code runs
-once per step.  The step-by-step loop is kept as ``oracles.scalar_rk4``, the
-reference the tests compare against.
+once per step.  A run keeps every stride-th step and the norm drift over
+all of them, and hands each chunk's populations to a consumer such as
+``PeriodScan``, so its memory follows the rows it keeps, not its length.
+The step-by-step loop is kept as ``oracles.scalar_rk4``, the reference the
+tests compare against.
 """
 from __future__ import annotations
 
@@ -28,9 +31,10 @@ from .eigensolver import Levels
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
 STEP_FACTOR = 1000.0  # suggested steps per period of the fastest frequency
 MIN_PEAK = 0.05  # smallest p1 maximum that counts as an oscillation
-# A cap on the step count, not on memory: a ``rabi`` run holds ~56 B per
-# step (times, both amplitudes, and p1 with its smoothed copy in the period
-# extraction), so a run near the cap needs ~5.6 GB.
+# A cap on the step count, and so on run time: ~0.15 us a step on one core
+# of a 2-vCPU x86 VM, ~15 s at the cap.  A row-capped run holds its rows,
+# a chunk of step matrices and the period scan's smoothing window (one
+# drive period of steps: ~1000 for a weak drive, at most the step count).
 MAX_STEPS = 1e8
 CHUNK_STEPS = 8192  # steps whose matrices are held in memory at once
 BLOCK_STEPS = 32  # steps per prefix-product block
@@ -63,9 +67,21 @@ class RabiParameters:
 
 @dataclass(frozen=True)
 class RabiTrajectory:
+    """Kept rows of a run: times and both amplitudes.
+
+    ``norm_drift`` is max |p0 + p1 - 1| over every step of the run, kept or
+    not; when not given it is taken over the rows.
+    """
+
     times: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
+    norm_drift: float | None = None
+
+    def __post_init__(self):
+        if self.norm_drift is None:
+            object.__setattr__(self, "norm_drift", float(
+                np.max(np.abs(self.p0 + self.p1 - 1.0))))
 
     @property
     def p0(self) -> np.ndarray:
@@ -74,10 +90,6 @@ class RabiTrajectory:
     @property
     def p1(self) -> np.ndarray:
         return np.abs(self.c1) ** 2
-
-    @property
-    def norm_drift(self) -> float:
-        return float(np.max(np.abs(self.p0 + self.p1 - 1.0)))
 
 
 def rabi_coefficients(levels: Levels, V_e: float) -> np.ndarray:
@@ -178,8 +190,22 @@ def _chunk_matrices(poly: np.ndarray, w: float, t: np.ndarray,
     return m
 
 
+def step_grid(t_span: tuple[float, float], dt: float) -> tuple[int, float]:
+    """Step count and step of a fixed-step run over ``t_span``: the fewest
+    equal steps no longer than ``dt``, at most MAX_STEPS of them."""
+    t0, t1 = t_span
+    if not (dt > 0 and (t1 - t0) / dt <= MAX_STEPS):
+        raise StepSizeError(
+            f"span {t1 - t0:.3e} s at dt={dt:.3e} s is not a finite count "
+            f"of at most {MAX_STEPS:.0e} steps")
+    n_steps = max(1, int(math.ceil((t1 - t0) / dt)))
+    return n_steps, (t1 - t0) / n_steps
+
+
 def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
-                   dt: float, initial: tuple[complex, complex]) -> RabiTrajectory:
+                   dt: float, initial: tuple[complex, complex],
+                   max_rows: int | None = None,
+                   on_chunk=None) -> RabiTrajectory:
     """Fixed-step RK4 integration of the amplitude equations.
 
     The equations are linear, so each RK4 step is a 2x2 matrix
@@ -192,6 +218,12 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
     block across all blocks; the state is then carried from block to block
     and from chunk to chunk.  Python work grows with the number of blocks,
     not of steps.
+
+    The result keeps every step, or with ``max_rows`` every stride-th one,
+    the stride fixed from the step count before the run; its norm drift
+    covers every step.  ``on_chunk(times, p1)``, when given, is called
+    with each chunk's times and excited populations in order, the initial
+    state leading the first chunk.
     """
     c0, c1 = complex(initial[0]), complex(initial[1])
     norm = abs(c0) ** 2 + abs(c1) ** 2
@@ -202,19 +234,16 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
         raise StepSizeError(
             f"dt={dt:.3e} exceeds 2*pi/({STEP_SAFETY:.0f}*max_frequency)="
             f"{2.0 * math.pi / (STEP_SAFETY * wmax):.3e}")
-    t0, t1 = t_span
-    if not (dt > 0 and (t1 - t0) / dt <= MAX_STEPS):
-        raise StepSizeError(
-            f"span {t1 - t0:.3e} s at dt={dt:.3e} s is not a finite count "
-            f"of at most {MAX_STEPS:.0e} steps")
-    n_steps = max(1, int(math.ceil((t1 - t0) / dt)))
-    dt = (t1 - t0) / n_steps
+    t0 = t_span[0]
+    n_steps, dt = step_grid(t_span, dt)
+    stride = 1 if max_rows is None else max(1, n_steps // (max_rows - 1))
 
-    times = t0 + dt * np.arange(n_steps + 1)
-    out0 = np.empty(n_steps + 1, dtype=complex)
-    out1 = np.empty(n_steps + 1, dtype=complex)
+    times = t0 + dt * np.arange(0, n_steps + 1, stride)
+    out0 = np.empty(times.size, dtype=complex)
+    out1 = np.empty(times.size, dtype=complex)
     out0[0] = c0
     out1[0] = c1
+    drift = 0.0
 
     poly = _step_polynomial(params, dt)
     # step index of position j in block b, laid out [j, b]
@@ -229,7 +258,7 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
             np.add(m[j, :, :1] * m[j - 1, :1], m[j, :, 1:] * m[j - 1, 1:],
                    out=m[j])
         # state entering each block; only the last chunk can end inside a
-        # block, and its padding steps are computed but not written out
+        # block, and its padding steps are computed but not kept
         s0 = np.empty(n_blocks, dtype=complex)
         s1 = np.empty(n_blocks, dtype=complex)
         p00, p01, p10, p11 = (m[-1, r, c].tolist() for r in (0, 1)
@@ -237,11 +266,22 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
         for b in range(n_blocks):
             s0[b], s1[b] = c0, c1
             c0, c1 = p00[b] * c0 + p01[b] * c1, p10[b] * c0 + p11[b] * c1
-        span = slice(start + 1, start + 1 + count)
-        out0[span] = (m[:, 0, 0] * s0 + m[:, 0, 1] * s1).T.ravel()[:count]
-        out1[span] = (m[:, 1, 0] * s0 + m[:, 1, 1] * s1).T.ravel()[:count]
+        k = start + 1  # a0[j], a1[j]: the state after step k + j
+        a0 = (m[:, 0, 0] * s0 + m[:, 0, 1] * s1).T.ravel()[:count]
+        a1 = (m[:, 1, 0] * s0 + m[:, 1, 1] * s1).T.ravel()[:count]
+        if start == 0:  # the initial state leads the first chunk
+            k, a0, a1 = 0, np.insert(a0, 0, out0[0]), np.insert(a1, 0, out1[0])
+        p1 = np.abs(a1) ** 2
+        drift = np.maximum(drift, np.max(np.abs(np.abs(a0) ** 2 + p1 - 1.0)))
+        row = -(-k // stride)
+        kept = slice(row * stride - k, None, stride)
+        out0[row:row + a0[kept].size] = a0[kept]
+        out1[row:row + a1[kept].size] = a1[kept]
+        if on_chunk is not None:
+            on_chunk(t0 + dt * np.arange(k, k + a1.size), p1)
 
-    return RabiTrajectory(times=times, c0=out0, c1=out1)
+    return RabiTrajectory(times=times, c0=out0, c1=out1,
+                          norm_drift=float(drift))
 
 
 def rwa_population(Omega: float, detuning: float, t) -> float | np.ndarray:
@@ -258,26 +298,103 @@ def rwa_population(Omega: float, detuning: float, t) -> float | np.ndarray:
     return out if out.shape else float(out)
 
 
-def _moving_average(x: np.ndarray, window: int) -> np.ndarray:
-    """Mean of x over [i - window//2, i + (window-1)//2] at each i, with
-    zeros beyond the ends: np.convolve(x, ones(window)/window, "same"),
-    from one running sum in O(len(x)) instead of O(len(x) * window).
-    Overwrites x with its running sum, so no second full-length copy is
-    held."""
-    n, before, after = x.size, window // 2, (window - 1) // 2
-    sums = np.cumsum(x, out=x)  # sums[k] = x[0] + ... + x[k]
-    means = np.empty(n)
-    means[:n - after] = sums[after:]
-    means[n - after:] = sums[-1]
-    means[before + 1:] -= sums[:n - before - 1]
-    means /= window
-    return means
-
-
 @dataclass(frozen=True)
 class RabiPeriod:
     period: float  # s
     method: str
+
+
+class PeriodScan:
+    """``extract_rabi_period`` over a trajectory fed chunk by chunk.
+
+    Call it with consecutive chunks of times and p1 (it fits
+    ``integrate_rabi``'s ``on_chunk``), then take ``period()``.  The moving
+    average is the running sum of p1 differenced one window apart, the sum
+    carried across chunks as np.cumsum over [carry, chunk], so each value
+    is the single-pass one bit for bit while only the last window of sums
+    is held.  The scan stops at the first peak.
+    """
+
+    def __init__(self, smooth_window: int | None = None):
+        self.window = max(1, smooth_window or 1)
+        self.count = 0  # samples fed
+        self.sums = np.zeros(0)  # the last window of sums, by index mod it
+        self.carry = 0.0  # running sum through the last sample fed
+        self.last = np.empty(0)  # last two values of the scanned signal
+        self.top = -np.inf  # maximum of the scanned signal
+        self.peak = None  # (index, quadratic shift) of the first peak
+        self.start = np.empty(0)  # the first two times
+
+    def __call__(self, times: np.ndarray, p1: np.ndarray) -> None:
+        if self.start.size < 2:
+            self.start = np.concatenate((self.start,
+                                         times[:2 - self.start.size]))
+        self.count += p1.size
+        if self.peak is None:
+            self._scan(self.count - p1.size, p1)
+
+    def _smooth(self, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
+        """Moving averages completed by samples k, k + 1, ... of p1: those
+        centered (window - 1) // 2 samples earlier, from the first index
+        on.  Past the end of p1, feed zeros."""
+        w = self.window
+        s = np.cumsum(np.concatenate(([self.carry], x)))
+        self.carry = s[-1]
+        s = s[1:]  # s[j] = p1[0] + ... + p1[k + j]
+        if self.sums.size < min(w, k + s.size):
+            # grow toward one window in place, new entries zeroed, so that
+            # a wide window's sums are never held twice
+            self.sums.resize(min(w, max(2 * self.sums.size, k + s.size)))
+        h = min(s.size, w)
+        before = np.concatenate((  # the sums w samples back
+            self.sums.take(np.arange(k, k + h), mode="wrap"), s[:s.size - h]))
+        self.sums.put(np.arange(k + s.size - h, k + s.size), s[s.size - h:],
+                      mode="wrap")
+        means = (s - before) / w
+        lag = (w - 1) // 2
+        return max(0, k - lag), means[max(0, lag - k):]
+
+    def _scan(self, k: int, x: np.ndarray) -> None:
+        """Look for the first peak in samples k, k + 1, ... of p1."""
+        if self.window > 1:
+            k, x = self._smooth(k, x)
+        y = np.concatenate((self.last, x))
+        mid = y[1:-1]
+        peaks = np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])
+                               & (mid >= MIN_PEAK)) + 1
+        if peaks.size:
+            i = int(peaks[0])
+            y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+            denom = y0 - 2.0 * y1 + y2
+            shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+            self.peak = (k - self.last.size + i, shift)
+        if x.size:
+            self.top = np.maximum(self.top, x.max())
+        self.last = y[-2:].copy()
+
+    def period(self) -> RabiPeriod:
+        method = "double_first_peak_quadratic"
+        if self.window > 1:
+            if self.window > self.count:
+                raise NoOscillationError(
+                    f"smoothing window of {self.window} samples exceeds the "
+                    f"{self.count}-sample trajectory: it spans less than one "
+                    f"drive period")
+            if self.peak is None:
+                self._scan(self.count, np.zeros((self.window - 1) // 2))
+            method = "double_first_peak_quadratic_smoothed"
+        if self.peak is None:
+            if self.top < MIN_PEAK:
+                raise NoOscillationError(
+                    f"max p1 = {self.top:.4f} < {MIN_PEAK}; no oscillation "
+                    f"detected")
+            raise NoOscillationError("population rises but never turns "
+                                     "over; extend the trajectory")
+        i, shift = self.peak
+        t0 = self.start[0]
+        dt = self.start[1] - t0
+        t_peak = t0 + dt * i + shift * dt
+        return RabiPeriod(period=2.0 * float(t_peak - t0), method=method)
 
 
 def extract_rabi_period(traj: RabiTrajectory,
@@ -285,34 +402,12 @@ def extract_rabi_period(traj: RabiTrajectory,
     """Oscillation period as twice the time of the first p1 maximum.
 
     The discrete peak is refined by a quadratic fit through its neighbors;
-    the doubling assumes a sin^2-like signal starting from p1(0) ~ 0.
-    ``smooth_window`` (samples) applies a moving average first, to suppress
-    drive-frequency micromotion that would otherwise fake an early peak;
-    pass roughly one drive period worth of samples.
+    the doubling assumes a sin^2-like signal starting from p1(0) ~ 0, on
+    evenly spaced times.  ``smooth_window`` (samples) applies a moving
+    average first, to suppress drive-frequency micromotion that would
+    otherwise fake an early peak; pass roughly one drive period worth of
+    samples.  The trajectory is one chunk of ``PeriodScan``.
     """
-    p1 = traj.p1
-    method = "double_first_peak_quadratic"
-    if smooth_window is not None and smooth_window > 1:
-        if smooth_window > p1.size:
-            raise NoOscillationError(
-                f"smoothing window of {smooth_window} samples exceeds the "
-                f"{p1.size}-sample trajectory: it spans less than one drive "
-                f"period")
-        p1 = _moving_average(p1, smooth_window)
-        method = "double_first_peak_quadratic_smoothed"
-    if p1.max() < MIN_PEAK:
-        raise NoOscillationError(
-            f"max p1 = {p1.max():.4f} < {MIN_PEAK}; no oscillation detected")
-    peaks = np.flatnonzero((p1[1:-1] > p1[:-2]) & (p1[1:-1] >= p1[2:])) + 1
-    peaks = peaks[p1[peaks] >= MIN_PEAK]
-    if peaks.size == 0:
-        raise NoOscillationError("population rises but never turns over; "
-                                 "extend the trajectory")
-    i = int(peaks[0])
-    y0, y1, y2 = p1[i - 1], p1[i], p1[i + 1]
-    denom = y0 - 2.0 * y1 + y2
-    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    dt = traj.times[1] - traj.times[0]
-    t_peak = traj.times[i] + shift * dt
-    return RabiPeriod(period=2.0 * float(t_peak - traj.times[0]),
-                      method=method)
+    scan = PeriodScan(smooth_window)
+    scan(traj.times, traj.p1)
+    return scan.period()

@@ -24,6 +24,7 @@ DEFAULT_N_TIMES = 64
 QUBIT_LEVELS = 2  # levels solved per sample for the qubit: the lowest pair
 WEAK_DRIVE_RATIO = 0.1  # largest |D01|, |D11 - D00| over the drive frequency
 RABI_SPAN_PERIODS = 1.5  # default Rabi run, in estimated flip periods
+MAX_TRAJECTORY_ROWS = 4001  # rows a Rabi run keeps (rabi.csv)
 
 # Reference per-dot position matrix elements for a two-channel device
 # (upper/lower), in meters; used to exercise the coupling pipeline without
@@ -257,10 +258,11 @@ def simulate_rabi(sol: QubitSolution,
     """Integrate the resonant drive from |0> and extract the flip period.
 
     The trajectory spans ``duration`` seconds when given, else
-    RABI_SPAN_PERIODS estimated Rabi periods; the period extraction
-    smooths over one drive period to suppress micromotion.  Warns
-    (StrongDriveWarning) before integrating when the drive is too strong
-    for the estimate.
+    RABI_SPAN_PERIODS estimated Rabi periods, and keeps about
+    MAX_TRAJECTORY_ROWS rows; the period is scanned from every step as the
+    run goes, smoothed over one drive period to suppress micromotion.
+    Warns (StrongDriveWarning) before integrating when the drive is too
+    strong for the estimate.
     """
     params = rabi_parameters(sol)
     if params.D[0, 1] == 0:
@@ -274,11 +276,13 @@ def simulate_rabi(sol: QubitSolution,
     if duration is None:
         duration = RABI_SPAN_PERIODS * estimated
     dt = dynamics.suggested_step(params)
-    traj = dynamics.integrate_rabi(params, (0.0, duration), dt, (1.0, 0.0))
-    dt_actual = float(traj.times[1] - traj.times[0])
-    window = int(round(2.0 * np.pi / params.omega_drive / dt_actual))
-    period = dynamics.extract_rabi_period(traj, smooth_window=window)
-    return RabiResult(params=params, trajectory=traj, period=period,
+    dt_actual = dynamics.step_grid((0.0, duration), dt)[1]
+    scan = dynamics.PeriodScan(
+        int(round(2.0 * np.pi / params.omega_drive / dt_actual)))
+    traj = dynamics.integrate_rabi(params, (0.0, duration), dt, (1.0, 0.0),
+                                   max_rows=MAX_TRAJECTORY_ROWS,
+                                   on_chunk=scan)
+    return RabiResult(params=params, trajectory=traj, period=scan.period(),
                       estimated_period=estimated)
 
 

@@ -376,8 +376,10 @@ CONTRACT_COMMANDS = {
     "adiabaticity": ["adiabaticity"],
     # one dot-window solve at t*, ~10 ms for a valid config
     "twoqubit-solved": ["twoqubit"],
-    # rabi stays out: a random config can ask for up to dynamics.MAX_STEPS
-    # = 1e8 RK4 steps, and the run keeps every step (~5.6 GB at the cap)
+    # rabi stays out for its run time: a random config can ask for up to
+    # dynamics.MAX_STEPS = 1e8 RK4 steps at ~0.15 us a step (~15 s); its
+    # memory follows the 4001 rows it keeps and one drive period of
+    # samples, not the step count
 }
 
 

@@ -156,6 +156,215 @@ def test_transient_memory_is_bounded_by_the_chunk():
     assert peak - output <= 8 * chunk_bytes
 
 
+def test_streamed_memory_is_bounded_by_rows_and_window():
+    """A row-capped integration feeding the smoothed period scan holds at
+    most 8 chunks' step matrices, one smoothing window of sums and the
+    kept rows; ten times the steps stays within the same bound."""
+    params = _synthetic_params(d01=1e-3, d00=2.0, d11=1.5)
+    dt = suggested_step(params)
+    window = int(round(2.0 * math.pi / params.omega_drive / dt))
+    rows = 4001
+    bound = (8 * 4 * 16 * dynamics.CHUNK_STEPS + 8 * window
+             + rows * (8 + 16 + 16))
+    for n_steps in (40_000, 400_000):
+        span = (0.0, n_steps * dt)
+        integrate_rabi(params, span, dt, (1.0, 0.0), max_rows=rows,
+                       on_chunk=dynamics.PeriodScan(window))  # warm caches
+        tracemalloc.start()
+        try:
+            traj = integrate_rabi(params, span, dt, (1.0, 0.0),
+                                  max_rows=rows,
+                                  on_chunk=dynamics.PeriodScan(window))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == rows
+        assert peak <= bound, (n_steps, peak, bound)
+
+
+def test_rwa_oracle_memory_is_bounded_by_the_chunk():
+    """The oracle folds its deviation chunk by chunk: its 1e6 steps peak
+    below 8 chunks' step matrices (4.2 MB), not at ~56 MB of trajectory."""
+    oracles.check_rwa_integration()  # warm numpy's caches
+    tracemalloc.start()
+    try:
+        oracles.check_rwa_integration()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 4 * 16 * dynamics.CHUNK_STEPS
+
+
+def _one_pass_period(traj, window=None):
+    """The single-pass period extraction: the whole p1, its moving average
+    from one running sum, and the first peak among all samples."""
+    p1 = traj.p1
+    method = "double_first_peak_quadratic"
+    if window is not None and window > 1:
+        if window > p1.size:
+            raise NoOscillationError(
+                f"smoothing window of {window} samples exceeds the "
+                f"{p1.size}-sample trajectory: it spans less than one drive "
+                f"period")
+        n, before, after = p1.size, window // 2, (window - 1) // 2
+        sums = np.cumsum(p1)
+        p1 = np.empty(n)
+        p1[:n - after] = sums[after:]
+        p1[n - after:] = sums[-1]
+        p1[before + 1:] -= sums[:n - before - 1]
+        p1 /= window
+        method = "double_first_peak_quadratic_smoothed"
+    if p1.max() < dynamics.MIN_PEAK:
+        raise NoOscillationError(f"max p1 = {p1.max():.4f} < "
+                                 f"{dynamics.MIN_PEAK}; no oscillation "
+                                 f"detected")
+    peaks = np.flatnonzero((p1[1:-1] > p1[:-2]) & (p1[1:-1] >= p1[2:])) + 1
+    peaks = peaks[p1[peaks] >= dynamics.MIN_PEAK]
+    if peaks.size == 0:
+        raise NoOscillationError("population rises but never turns over; "
+                                 "extend the trajectory")
+    i = int(peaks[0])
+    y0, y1, y2 = p1[i - 1], p1[i], p1[i + 1]
+    denom = y0 - 2.0 * y1 + y2
+    shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+    dt = traj.times[1] - traj.times[0]
+    t_peak = traj.times[i] + shift * dt
+    return dynamics.RabiPeriod(period=2.0 * float(t_peak - traj.times[0]),
+                               method=method)
+
+
+def _outcome(extract, *args):
+    """The period, or the NoOscillationError message."""
+    try:
+        return extract(*args)
+    except NoOscillationError as err:
+        return str(err)
+
+
+def _fed(traj, window, cuts):
+    """PeriodScan fed the trajectory in the pieces between ``cuts``."""
+    scan = dynamics.PeriodScan(window)
+    edges = [0, *sorted({c for c in cuts if 0 < c < traj.times.size}),
+             traj.times.size]
+    for a, b in zip(edges[:-1], edges[1:]):
+        scan(traj.times[a:b], traj.p1[a:b])
+    return scan.period()
+
+
+def _flip_trajectory():
+    params = _synthetic_params(d01=1.0, d00=0.3, d11=0.2)
+    dt = suggested_step(params)
+    return integrate_rabi(params, (0.0, 3.0 * math.pi), dt, (1.0, 0.0)), \
+        int(round(2.0 * math.pi / params.omega_drive / dt))
+
+
+def _constant(n, value):
+    return RabiTrajectory(times=np.linspace(0.0, 1.0, n),
+                          c0=np.full(n, math.sqrt(1.0 - value), complex),
+                          c1=np.full(n, math.sqrt(value), complex))
+
+
+def _rising(n):
+    times = np.linspace(0.0, 1.0, n)
+    return RabiTrajectory(times=times, c0=np.cos(times).astype(complex),
+                          c1=np.sin(times).astype(complex))
+
+
+@pytest.mark.parametrize("case", ["drive_period", "unsmoothed", "wide",
+                                  "whole", "flat", "flat_unsmoothed",
+                                  "rising_unsmoothed", "too_wide"])
+def test_streamed_period_equals_one_pass(case):
+    """Fed in any chunking, the period scan gives the single-pass period
+    bit for bit, or the same NoOscillationError message: chunk edges on,
+    just before and just after the first peak and the sample that
+    confirms it, chunks smaller than the window, one chunk."""
+    traj, window = _flip_trajectory()
+    n = traj.times.size
+    if case == "unsmoothed":
+        window = None
+    elif case == "wide":  # a window larger than the chunks below
+        window = 3 * 997
+    elif case == "whole":
+        window = n
+    elif case.startswith("flat"):
+        traj = _constant(20_001, 0.01)
+        window = None if case == "flat_unsmoothed" else 500
+    elif case == "rising_unsmoothed":
+        traj, window = _rising(20_001), None
+    elif case == "too_wide":
+        window = n + 1
+    n = traj.times.size
+    expected = _outcome(_one_pass_period, traj, window)
+    if isinstance(expected, str):
+        assert "no oscillation" in expected or "never turns" in expected \
+            or "exceeds" in expected
+    else:
+        assert case in ("drive_period", "unsmoothed", "wide", "whole")
+    one = dynamics.PeriodScan(window)
+    one(traj.times, traj.p1)
+    lag = 0 if window is None else (window - 1) // 2
+    i = one.peak[0] if one.peak is not None else n // 2
+    chunkings = [[], list(range(997, n, 997)),
+                 list(range(dynamics.CHUNK_STEPS, n, dynamics.CHUNK_STEPS)),
+                 *([i + d] for d in (-1, 0, 1, 2)),
+                 *([i + lag + d] for d in (0, 1, 2, 3)),
+                 [i, i + lag + 2], [1, 2, i + 1]]
+    assert _outcome(extract_rabi_period, traj, window) == expected
+    for cuts in chunkings:
+        assert _outcome(_fed, traj, window, cuts) == expected, cuts
+
+
+def test_row_capped_run_keeps_the_full_runs_rows_and_figures():
+    """Rows kept at a stride are the stride-1 rows bit for bit; the norm
+    drift covers every step; the streamed period is the one-pass one."""
+    traj, window = _flip_trajectory()
+    params = _synthetic_params(d01=1.0, d00=0.3, d11=0.2)
+    dt = suggested_step(params)
+    for max_rows in (2, 101, 4001, traj.times.size, 10 * traj.times.size):
+        scan = dynamics.PeriodScan(window)
+        kept = integrate_rabi(params, (0.0, 3.0 * math.pi), dt, (1.0, 0.0),
+                              max_rows=max_rows, on_chunk=scan)
+        stride = int(round(kept.times[1] / traj.times[1]))
+        for name in ("times", "c0", "c1"):
+            np.testing.assert_array_equal(getattr(kept, name),
+                                          getattr(traj, name)[::stride])
+        assert kept.norm_drift == traj.norm_drift
+        assert scan.period() == _one_pass_period(traj, window)
+
+
+def test_default_device_streamed_rabi_matches_full(rabi_result):
+    """The row-capped default ``rabi`` run keeps the stride-1 run's rows
+    and norm drift bit for bit, and its period is the one-pass one."""
+    params = rabi_result.params
+    duration = pipeline.RABI_SPAN_PERIODS * rabi_result.estimated_period
+    full = integrate_rabi(params, (0.0, duration), suggested_step(params),
+                          (1.0, 0.0))
+    capped = rabi_result.trajectory
+    stride = int(round(capped.times[1] / full.times[1]))
+    assert stride > 1
+    for name in ("times", "c0", "c1"):
+        np.testing.assert_array_equal(getattr(capped, name),
+                                      getattr(full, name)[::stride])
+    assert capped.norm_drift == full.norm_drift
+    window = int(round(2.0 * math.pi / params.omega_drive
+                       / (full.times[1] - full.times[0])))
+    assert rabi_result.period == _one_pass_period(full, window)
+
+
+def test_rwa_oracle_figures_match_the_full_trajectory(oracle_results):
+    """The oracle's chunk-by-chunk deviation and norm drift equal those of
+    the whole stride-1 trajectory."""
+    d01 = 1e-3 * 1e6
+    params = RabiParameters(omega0=0.0, omega1=1e6, omega_drive=1e6,
+                            D=np.array([[0.0, d01], [d01, 0.0]]))
+    traj = integrate_rabi(params, (0.0, 2.0 * math.pi / d01),
+                          suggested_step(params), (1.0, 0.0))
+    measured = oracle_results["rwa_two_level"].measured
+    assert measured["max_abs_deviation"] == float(np.max(np.abs(
+        traj.p1 - rwa_population(d01, 0.0, traj.times))))
+    assert measured["norm_drift"] == traj.norm_drift
+
+
 def test_rejects_unnormalized_state():
     params = _synthetic_params()
     with pytest.raises(ValueError, match="normalized"):
@@ -223,11 +432,17 @@ def test_extract_period_smoothing_rejects_micromotion():
 @pytest.mark.parametrize("n, window", [(10, 10), (11, 4), (100, 7),
                                        (1000, 1), (5000, 4999)])
 def test_moving_average_matches_convolution(n, window):
-    """The O(N) cumulative-sum smoothing equals the centered convolution
-    with a flat kernel, zero-padded at both ends."""
+    """The streamed running-sum smoothing, fed three samples at a time and
+    then the zeros past the end, equals the centered convolution with a
+    flat kernel, zero-padded at both ends."""
     x = np.random.default_rng(n).random(n)
     expected = np.convolve(x, np.ones(window) / window, mode="same")
-    np.testing.assert_allclose(dynamics._moving_average(x.copy(), window),
+    scan = dynamics.PeriodScan(window)
+    parts = [scan._smooth(k, x[k:k + 3]) for k in range(0, n, 3)]
+    parts.append(scan._smooth(n, np.zeros((window - 1) // 2)))
+    starts = np.cumsum([0] + [means.size for _, means in parts[:-1]])
+    assert [start for start, _ in parts] == starts.tolist()
+    np.testing.assert_allclose(np.concatenate([m for _, m in parts]),
                                expected, rtol=0.0, atol=1e-12)
 
 
