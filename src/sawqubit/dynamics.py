@@ -219,11 +219,12 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
     and from chunk to chunk.  Python work grows with the number of blocks,
     not of steps.
 
-    The result keeps every step, or with ``max_rows`` every stride-th one,
-    the stride fixed from the step count before the run; its norm drift
-    covers every step.  ``on_chunk(times, p1)``, when given, is called
-    with each chunk's times and excited populations in order, the initial
-    state leading the first chunk.
+    The result keeps every step, or at most ``max_rows`` (>= 2) rows: the
+    initial state and every stride-th step after it, the stride fixed from
+    the step count before the run.  Its norm drift covers every step.
+    ``on_chunk(times, p1)``, when given, is called with each chunk's times
+    and excited populations in order, the initial state leading the first
+    chunk.
     """
     c0, c1 = complex(initial[0]), complex(initial[1])
     norm = abs(c0) ** 2 + abs(c1) ** 2
@@ -236,7 +237,7 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
             f"{2.0 * math.pi / (STEP_SAFETY * wmax):.3e}")
     t0 = t_span[0]
     n_steps, dt = step_grid(t_span, dt)
-    stride = 1 if max_rows is None else max(1, n_steps // (max_rows - 1))
+    stride = 1 if max_rows is None else -(-n_steps // (max_rows - 1))
 
     times = t0 + dt * np.arange(0, n_steps + 1, stride)
     out0 = np.empty(times.size, dtype=complex)

@@ -258,7 +258,7 @@ def simulate_rabi(sol: QubitSolution,
     """Integrate the resonant drive from |0> and extract the flip period.
 
     The trajectory spans ``duration`` seconds when given, else
-    RABI_SPAN_PERIODS estimated Rabi periods, and keeps about
+    RABI_SPAN_PERIODS estimated Rabi periods, and keeps at most
     MAX_TRAJECTORY_ROWS rows; the period is scanned from every step as the
     run goes, smoothed over one drive period to suppress micromotion.
     Warns (StrongDriveWarning) before integrating when the drive is too

@@ -324,6 +324,7 @@ def test_row_capped_run_keeps_the_full_runs_rows_and_figures():
         scan = dynamics.PeriodScan(window)
         kept = integrate_rabi(params, (0.0, 3.0 * math.pi), dt, (1.0, 0.0),
                               max_rows=max_rows, on_chunk=scan)
+        assert kept.times.size <= max_rows
         stride = int(round(kept.times[1] / traj.times[1]))
         for name in ("times", "c0", "c1"):
             np.testing.assert_array_equal(getattr(kept, name),
@@ -340,6 +341,7 @@ def test_default_device_streamed_rabi_matches_full(rabi_result):
     full = integrate_rabi(params, (0.0, duration), suggested_step(params),
                           (1.0, 0.0))
     capped = rabi_result.trajectory
+    assert capped.times.size <= pipeline.MAX_TRAJECTORY_ROWS
     stride = int(round(capped.times[1] / full.times[1]))
     assert stride > 1
     for name in ("times", "c0", "c1"):
