@@ -1,8 +1,11 @@
 """Command-line frontend: one subcommand per pipeline stage.
 
 Subcommands: derive, levels, adiabaticity, rabi, twoqubit, validate.
-All data files are deterministic (no timestamps inside them); volatile
-fields live only in the per-run manifest.
+``main`` frames every run once: it creates --out, loads the config,
+derives the scales, calls the subcommand with a ``_Run`` record that
+writes and lists its data files, and writes the manifest with the run's
+wall time.  All data files are deterministic (no timestamps inside them);
+volatile fields live only in the manifest.
 
 Exit codes: 0 success, 2 configuration error or an unwritable --out,
 3 numerical failure, 4 validation failure.
@@ -73,19 +76,24 @@ def _write_json(path: str, obj: dict) -> None:
         fh.write("\n")
 
 
-class _Units:
-    """Column scaling for the --units flag.
+class _Run:
+    """One run's frame: its --out directory, --units mode, derived scales
+    and the data files written so far.
 
-    SI mode passes values through; natural mode divides by the relevant
-    scale and renames the unit suffix in headers.
+    ``val`` and ``col`` scale the output columns: SI mode passes values
+    through; natural mode divides by the relevant scale and renames the
+    unit suffix in headers.  ``csv`` and ``json`` write a data file into
+    --out, list it for the manifest and return its path.
     """
 
-    def __init__(self, mode: str, scales):
-        self.mode = mode
+    def __init__(self, out: str, units: str, scales):
+        self.out = out
+        self.units = units
         self.scales = scales
+        self.outputs = []
 
     def val(self, value, kind: str):
-        if self.mode == "si":
+        if self.units == "si":
             return value
         div = {"s": self.scales.natural_time,
                "J": self.scales.natural_energy,
@@ -93,41 +101,31 @@ class _Units:
         return value / div
 
     def col(self, base: str, kind: str) -> str:
-        return f"{base}_{kind}" if self.mode == "si" else f"{base}_nat"
+        return f"{base}_{kind}" if self.units == "si" else f"{base}_nat"
+
+    def csv(self, name: str, header: list[str], columns) -> str:
+        path = os.path.join(self.out, name)
+        _write_csv(path, header, columns)
+        self.outputs.append(path)
+        return path
+
+    def json(self, name: str, obj: dict) -> str:
+        path = os.path.join(self.out, name)
+        _write_json(path, obj)
+        self.outputs.append(path)
+        return path
 
 
-def _finish(out_dir: str, subcommand: str, config: DeviceConfig, scales,
-            outputs: list[str], t_start: float) -> None:
-    manifest = {
-        "subcommand": subcommand,
-        "tool_version": __version__,
-        "config": config.as_file_dict(),
-        "derived_scales": scales.as_dict(),
-        "outputs": sorted(outputs),
-        "wall_time_s": time.perf_counter() - t_start,
-    }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
-
-
-def _load(args) -> DeviceConfig:
-    if args.config is not None:
-        return load_config(args.config)
-    return DeviceConfig()
-
-
-def cmd_derive(args) -> int:
-    t_start = time.perf_counter()
-    config = _load(args)
-    scales = derive_scales(config)
+def cmd_derive(args, config: DeviceConfig, run: _Run) -> int:
+    scales = run.scales
     check = thermal_ratio(config, pipeline.REFERENCE_QUBIT_SPLITTING)
-    u = _Units(args.units, scales)
     doc = {key: value for key, value in config.as_file_dict().items()}
     doc.update({
-        "V0": u.val(scales.V0, "J"),
-        "V_S": u.val(scales.V_S, "J"),
+        "V0": run.val(scales.V0, "J"),
+        "V_S": run.val(scales.V_S, "J"),
         "k_per_m": scales.k,
         "omega_saw_rad_per_s": scales.omega_saw,
-        "T_period": u.val(scales.T_period, "s"),
+        "T_period": run.val(scales.T_period, "s"),
         "m_star_kg": scales.m_star,
         "natural_length_m": scales.natural_length,
         "natural_energy_J": scales.natural_energy,
@@ -136,15 +134,13 @@ def cmd_derive(args) -> int:
         "V_S_dimensionless": scales.V_S_nat,
         "k_dimensionless": scales.k_nat,
         "omega_saw_dimensionless": scales.omega_saw_nat,
-        "thermal_energy": u.val(check.thermal_energy, "J"),
+        "thermal_energy": run.val(check.thermal_energy, "J"),
         "thermal_ratio_vs_reference_splitting": check.ratio,
         "units": args.units,
     })
-    path = os.path.join(args.out, "derived.json")
-    _write_json(path, doc)
+    path = run.json("derived.json", doc)
     print(f"T_period = {scales.T_period:.4e} s, "
           f"k_B T = {check.thermal_energy:.4e} J  -> {path}")
-    _finish(args.out, "derive", config, scales, [path], t_start)
     return EXIT_OK
 
 
@@ -161,18 +157,17 @@ def _parse_times_ns(text: str) -> np.ndarray:
 
 
 def _positive_ns(flag: str, value_ns):
-    """Optional duration flag in ns, converted to s; finite and > 0."""
+    """Optional duration flag in ns, converted to s; finite and > 0 in s."""
     if value_ns is None:
         return None
-    if not (math.isfinite(value_ns) and value_ns > 0):
+    value = value_ns * 1e-9
+    if not (math.isfinite(value) and value > 0):
         raise ConfigError(flag, "must be finite and > 0")
-    return value_ns * 1e-9
+    return value
 
 
-def cmd_levels(args) -> int:
-    t_start = time.perf_counter()
-    config = _load(args)
-    scales = derive_scales(config)
+def cmd_levels(args, config: DeviceConfig, run: _Run) -> int:
+    scales = run.scales
     if not 1 <= args.levels <= pipeline.DOT_WINDOW_POINTS:
         raise ConfigError("--levels",
                           f"must be in [1, {pipeline.DOT_WINDOW_POINTS}]")
@@ -180,175 +175,139 @@ def cmd_levels(args) -> int:
         times = _parse_times_ns(args.times)
     else:
         times = pipeline.default_times(scales, 8)
-    u = _Units(args.units, scales)
-    outputs = []
     well_width = config.saw_wavelength / config.a  # natural units
     level_rows = []
     # every potential file shares the full-domain z column: format it once
     zeta = pipeline.default_grid(config).points
-    pot_z = _format_column(u.val(zeta * scales.natural_length, "m"))
+    pot_z = _format_column(run.val(zeta * scales.natural_length, "m"))
     for i, t in enumerate(times):
         levels, center = pipeline.solve_dot_levels(t, config, scales,
                                                    count=args.levels)
         # potential curve over the full domain
-        pot_path = os.path.join(args.out, f"potential_{i:02d}.csv")
         v = potential.effective(zeta, t, scales) * scales.natural_energy
-        _write_csv(pot_path,
-                   [u.col("z", "m"), u.col("energy", "J")],
-                   [pot_z, u.val(v, "J")])
-        outputs.append(pot_path)
+        run.csv(f"potential_{i:02d}.csv",
+                [run.col("z", "m"), run.col("energy", "J")],
+                [pot_z, run.val(v, "J")])
         # wavefunctions on the dot window
-        wf_path = os.path.join(args.out, f"wavefunctions_{i:02d}.csv")
-        header = [u.col("z", "m")] + [f"psi_{n}" for n in range(args.levels)]
-        cols = [u.val(levels.grid.points * scales.natural_length, "m")]
-        _write_csv(wf_path, header, cols + list(levels.states))
-        outputs.append(wf_path)
+        header = [run.col("z", "m")] + [f"psi_{n}" for n in range(args.levels)]
+        cols = [run.val(levels.grid.points * scales.natural_length, "m")]
+        run.csv(f"wavefunctions_{i:02d}.csv", header,
+                cols + list(levels.states))
         fractions = bound_fractions(levels, center, well_width)
         for n, (energy, frac) in enumerate(zip(levels.energies, fractions)):
-            level_rows.append((u.val(t, "s"), n,
-                               u.val(scales.energy_to_si(energy), "J"),
+            level_rows.append((run.val(t, "s"), n,
+                               run.val(scales.energy_to_si(energy), "J"),
                                frac >= BOUND_FRACTION, frac))
-    lv_path = os.path.join(args.out, "levels.csv")
-    _write_csv(lv_path,
-               [u.col("t", "s"), "level_index", u.col("energy", "J"),
-                "bound_flag", "mass_fraction"],
-               [np.array(col) for col in zip(*level_rows)])
-    outputs.append(lv_path)
-    print(f"{len(times)} times x {args.levels} levels -> {lv_path}")
-    _finish(args.out, "levels", config, scales, outputs, t_start)
+    path = run.csv("levels.csv",
+                   [run.col("t", "s"), "level_index", run.col("energy", "J"),
+                    "bound_flag", "mass_fraction"],
+                   [np.array(col) for col in zip(*level_rows)])
+    print(f"{len(times)} times x {args.levels} levels -> {path}")
     return EXIT_OK
 
 
-def cmd_adiabaticity(args) -> int:
-    t_start = time.perf_counter()
-    config = _load(args)
-    scales = derive_scales(config)
-    prof = pipeline.adiabaticity_profile(config, scales)
+def cmd_adiabaticity(args, config: DeviceConfig, run: _Run) -> int:
+    prof = pipeline.adiabaticity_profile(config, run.scales)
     i = prof.t_star_index
-    u = _Units(args.units, scales)
-    e0, e1 = scales.energy_to_si(prof.energies).T
-    csv_path = os.path.join(args.out, "beta.csv")
-    _write_csv(csv_path,
-               [u.col("t", "s"), "beta", u.col("E0", "J"), u.col("E1", "J"),
-                u.col("splitting", "J")],
-               [u.val(prof.times, "s"), prof.beta, u.val(e0, "J"),
-                u.val(e1, "J"), u.val(e1 - e0, "J")])
+    e0, e1 = run.scales.energy_to_si(prof.energies).T
+    csv_path = run.csv(
+        "beta.csv",
+        [run.col("t", "s"), "beta", run.col("E0", "J"), run.col("E1", "J"),
+         run.col("splitting", "J")],
+        [run.val(prof.times, "s"), prof.beta, run.val(e0, "J"),
+         run.val(e1, "J"), run.val(e1 - e0, "J")])
     beta_star, max_beta = prof.beta[i], prof.beta.max()
-    summary = {
-        "t_star": u.val(float(prof.times[i]), "s"),
+    run.json("adiabaticity_summary.json", {
+        "t_star": run.val(float(prof.times[i]), "s"),
         "beta_at_t_star": float(beta_star),
         "max_beta": float(max_beta),
-        "E0_at_t_star": u.val(float(e0[i]), "J"),
-        "E1_at_t_star": u.val(float(e1[i]), "J"),
-        "splitting_at_t_star": u.val(float(e1[i] - e0[i]), "J"),
+        "E0_at_t_star": run.val(float(e0[i]), "J"),
+        "E1_at_t_star": run.val(float(e1[i]), "J"),
+        "splitting_at_t_star": run.val(float(e1[i] - e0[i]), "J"),
         "well_center_over_a": prof.well_center,
         "units": args.units,
-    }
-    json_path = os.path.join(args.out, "adiabaticity_summary.json")
-    _write_json(json_path, summary)
+    })
     print(f"beta(t*) = {beta_star:.4f}, max beta = {max_beta:.4f} "
           f"-> {csv_path}")
-    _finish(args.out, "adiabaticity", config, scales, [csv_path, json_path],
-            t_start)
     return EXIT_OK
 
 
-def cmd_rabi(args) -> int:
-    t_start = time.perf_counter()
-    config = _load(args)
+def cmd_rabi(args, config: DeviceConfig, run: _Run) -> int:
     duration = _positive_ns("--duration", args.duration)
-    sol = pipeline.solve_qubit(config)
-    scales = sol.scales
-    u = _Units(args.units, scales)
-    result = pipeline.simulate_rabi(sol, duration=duration)
+    result = pipeline.simulate_rabi(pipeline.solve_qubit(config),
+                                    duration=duration)
     traj = result.trajectory
-    csv_path = os.path.join(args.out, "rabi.csv")
-    _write_csv(csv_path,
-               [u.col("t", "s"), "re_c0", "im_c0", "re_c1", "im_c1",
-                "p0", "p1"],
-               [u.val(traj.times, "s"), traj.c0.real, traj.c0.imag,
-                traj.c1.real, traj.c1.imag, traj.p0, traj.p1])
-    summary = {
-        "rabi_period": u.val(result.period.period, "s"),
+    run.csv("rabi.csv",
+            [run.col("t", "s"), "re_c0", "im_c0", "re_c1", "im_c1",
+             "p0", "p1"],
+            [run.val(traj.times, "s"), traj.c0.real, traj.c0.imag,
+             traj.c1.real, traj.c1.imag, traj.p0, traj.p1])
+    json_path = run.json("rabi_summary.json", {
+        "rabi_period": run.val(result.period.period, "s"),
         "rabi_period_method": result.period.method,
-        "estimated_period": u.val(result.estimated_period, "s"),
+        "estimated_period": run.val(result.estimated_period, "s"),
         "resonance_rad_per_s": result.params.omega_drive,
         "D00_rad_per_s": float(result.params.D[0, 0]),
         "D01_rad_per_s": float(result.params.D[0, 1]),
         "D11_rad_per_s": float(result.params.D[1, 1]),
         "norm_drift": traj.norm_drift,
         "units": args.units,
-    }
-    json_path = os.path.join(args.out, "rabi_summary.json")
-    _write_json(json_path, summary)
+    })
     print(f"Rabi period {result.period.period:.4e} s "
           f"({result.period.method}) -> {json_path}")
-    _finish(args.out, "rabi", config, scales, [csv_path, json_path], t_start)
     return EXIT_OK
 
 
 PUBLISHED_ZZ_OVER_XX = 1.3e-3
 
 
-def cmd_twoqubit(args) -> int:
-    t_start = time.perf_counter()
-    config = _load(args)
+def cmd_twoqubit(args, config: DeviceConfig, run: _Run) -> int:
     d = args.d if args.d is not None else config.channel_separation
     if not (math.isfinite(d) and d > 0):
         raise ConfigError("--d", "must be finite and > 0")
     duration = _positive_ns("--duration", args.duration)
     if args.fixture_paper_z:
-        scales = derive_scales(config)
         coeffs = pipeline.twoqubit_coefficients_from_reference(d)
         zu, zl = pipeline.REFERENCE_Z_UPPER, pipeline.REFERENCE_Z_LOWER
     else:
-        sol = pipeline.solve_qubit(config)
-        scales = sol.scales
-        coeffs, z = pipeline.twoqubit_coefficients_from_solution(sol, d)
+        coeffs, z = pipeline.twoqubit_coefficients_from_solution(
+            pipeline.solve_qubit(config), d)
         zu = zl = z
-    u = _Units(args.units, scales)
     gate_time = twoqubit.gate_time_for_iswap(coeffs)
     t_max = duration if duration is not None else gate_time
     sweep_times = np.linspace(t_max / 32.0, t_max, 32)
     fids = twoqubit.rwa_fidelity(coeffs, np.append(sweep_times, gate_time))
-    csv_path = os.path.join(args.out, "fidelity.csv")
-    _write_csv(csv_path, [u.col("t", "s"), "fidelity"],
-               [u.val(sweep_times, "s"), fids[:-1]])
+    run.csv("fidelity.csv", [run.col("t", "s"), "fidelity"],
+            [run.val(sweep_times, "s"), fids[:-1]])
     rwa_fid = float(fids[-1])
     summary = {
         "d_m": d,
-        "z_u00": u.val(zu.z00, "m"), "z_u11": u.val(zu.z11, "m"),
-        "z_u01": u.val(zu.z01, "m"),
-        "z_l00": u.val(zl.z00, "m"), "z_l11": u.val(zl.z11, "m"),
-        "z_l01": u.val(zl.z01, "m"),
-        "cu_z": u.val(coeffs.cu_z, "J"), "cl_z": u.val(coeffs.cl_z, "J"),
-        "cu_x": u.val(coeffs.cu_x, "J"), "cl_x": u.val(coeffs.cl_x, "J"),
-        "c_zz": u.val(coeffs.c_zz, "J"), "c_xx": u.val(coeffs.c_xx, "J"),
-        "c_zx": u.val(coeffs.c_zx, "J"), "c_xz": u.val(coeffs.c_xz, "J"),
-        "lambda_u": u.val(coeffs.lambda_u, "J"),
-        "lambda_l": u.val(coeffs.lambda_l, "J"),
+        "z_u00": run.val(zu.z00, "m"), "z_u11": run.val(zu.z11, "m"),
+        "z_u01": run.val(zu.z01, "m"),
+        "z_l00": run.val(zl.z00, "m"), "z_l11": run.val(zl.z11, "m"),
+        "z_l01": run.val(zl.z01, "m"),
+        "cu_z": run.val(coeffs.cu_z, "J"), "cl_z": run.val(coeffs.cl_z, "J"),
+        "cu_x": run.val(coeffs.cu_x, "J"), "cl_x": run.val(coeffs.cl_x, "J"),
+        "c_zz": run.val(coeffs.c_zz, "J"), "c_xx": run.val(coeffs.c_xx, "J"),
+        "c_zx": run.val(coeffs.c_zx, "J"), "c_xz": run.val(coeffs.c_xz, "J"),
+        "lambda_u": run.val(coeffs.lambda_u, "J"),
+        "lambda_l": run.val(coeffs.lambda_l, "J"),
         "czz_over_cxx": abs(coeffs.c_zz / coeffs.c_xx),
         "published_czz_over_cxx": PUBLISHED_ZZ_OVER_XX,
         "discrepancy_documented": bool(args.fixture_paper_z),
-        "gate_time": u.val(gate_time, "s"),
+        "gate_time": run.val(gate_time, "s"),
         "rwa_fidelity": rwa_fid,
         "fixture_mode": bool(args.fixture_paper_z),
         "units": args.units,
     }
-    json_path = os.path.join(args.out, "twoqubit_summary.json")
-    _write_json(json_path, summary)
+    json_path = run.json("twoqubit_summary.json", summary)
     print(f"|c_zz/c_xx| = {summary['czz_over_cxx']:.4e}, gate time "
           f"{gate_time:.4e} s, RWA fidelity {rwa_fid:.6f} "
           f"-> {json_path}")
-    _finish(args.out, "twoqubit", config, scales, [csv_path, json_path],
-            t_start)
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    t_start = time.perf_counter()
-    config = DeviceConfig()
-    scales = derive_scales(config)
+def cmd_validate(args, config: DeviceConfig, run: _Run) -> int:
     results = oracles.run_all()
     report = {r.name: {"passed": r.passed, **r.measured} for r in results}
     # Splitting report for both candidate effective-mass settings, from
@@ -363,12 +322,10 @@ def cmd_validate(args) -> int:
     report["mass_splitting_report"] = masses
     overall = all(r.passed for r in results)
     report["overall_passed"] = overall
-    path = os.path.join(args.out, "validation.json")
-    _write_json(path, report)
+    path = run.json("validation.json", report)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")
     print(f"overall: {'PASS' if overall else 'FAIL'} -> {path}")
-    _finish(args.out, "validate", config, scales, [path], t_start)
     return EXIT_OK if overall else EXIT_VALIDATION
 
 
@@ -421,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the analytic oracle suite")
     p.add_argument("--out", default="out", help="output directory")
-    p.set_defaults(func=cmd_validate)
+    # the oracles and the mass report run on the default device
+    p.set_defaults(func=cmd_validate, config=None, units="si")
 
     return parser
 
@@ -430,8 +388,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        t_start = time.perf_counter()
         os.makedirs(args.out, exist_ok=True)
-        return args.func(args)
+        config = (DeviceConfig() if args.config is None
+                  else load_config(args.config))
+        run = _Run(args.out, args.units, derive_scales(config))
+        code = args.func(args, config, run)
+        _write_json(os.path.join(args.out, "manifest.json"), {
+            "subcommand": args.subcommand,
+            "tool_version": __version__,
+            "config": config.as_file_dict(),
+            "derived_scales": run.scales.as_dict(),
+            "outputs": sorted(run.outputs),
+            "wall_time_s": time.perf_counter() - t_start,
+        })
+        return code
     except OSError as exc:
         # --config read errors are ConfigErrors, so this is the output side
         print(f"cannot write output {exc.filename or args.out}: "

@@ -344,8 +344,11 @@ class PeriodScan:
         s = s[1:]  # s[j] = p1[0] + ... + p1[k + j]
         if self.sums.size < min(w, k + s.size):
             # grow toward one window in place, new entries zeroed, so that
-            # a wide window's sums are never held twice
-            self.sums.resize(min(w, max(2 * self.sums.size, k + s.size)))
+            # a wide window's sums are never held twice; no view of sums
+            # exists (take and put copy), and the default refcheck fails
+            # whenever a profile or trace hook holds a reference to it
+            self.sums.resize(min(w, max(2 * self.sums.size, k + s.size)),
+                             refcheck=False)
         h = min(s.size, w)
         before = np.concatenate((  # the sums w samples back
             self.sums.take(np.arange(k, k + h), mode="wrap"), s[:s.size - h]))

@@ -262,7 +262,8 @@ def simulate_rabi(sol: QubitSolution,
     MAX_TRAJECTORY_ROWS rows; the period is scanned from every step as the
     run goes, smoothed over one drive period to suppress micromotion.
     Warns (StrongDriveWarning) before integrating when the drive is too
-    strong for the estimate.
+    strong for the estimate; raises NoOscillationError when one drive
+    period, the smoothing window, spans more samples than the run.
     """
     params = rabi_parameters(sol)
     if params.D[0, 1] == 0:
@@ -276,9 +277,14 @@ def simulate_rabi(sol: QubitSolution,
     if duration is None:
         duration = RABI_SPAN_PERIODS * estimated
     dt = dynamics.suggested_step(params)
-    dt_actual = dynamics.step_grid((0.0, duration), dt)[1]
-    scan = dynamics.PeriodScan(
-        int(round(2.0 * np.pi / params.omega_drive / dt_actual)))
+    n_steps, dt_actual = dynamics.step_grid((0.0, duration), dt)
+    drive_period = 2.0 * np.pi / params.omega_drive
+    # compared in seconds: in samples, a subnormal step overflows to inf
+    if not drive_period <= (n_steps + 1) * dt_actual:
+        raise dynamics.NoOscillationError(
+            f"smoothing window of one drive period ({drive_period:.3e} s) "
+            f"exceeds the {n_steps + 1}-sample trajectory ({duration:.3e} s)")
+    scan = dynamics.PeriodScan(int(round(drive_period / dt_actual)))
     traj = dynamics.integrate_rabi(params, (0.0, duration), dt, (1.0, 0.0),
                                    max_rows=MAX_TRAJECTORY_ROWS,
                                    on_chunk=scan)

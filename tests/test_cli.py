@@ -1,3 +1,4 @@
+import ast
 import filecmp
 import json
 import math
@@ -65,6 +66,9 @@ def test_invalid_config_exit_code(tmp_path, capsys):
             (["rabi", "--duration", "-1"], {}, "--duration"),
             (["rabi", "--duration", "nan"], {}, "--duration"),
             (["twoqubit", "--duration", "inf"], {}, "--duration"),
+            # positive in ns, but 0.0 once converted to s
+            (["rabi", "--duration", "1e-320"], {}, "--duration"),
+            (["twoqubit", "--duration", "1e-320"], {}, "--duration"),
             (["twoqubit", "--d", "nan"], {}, "--d"),
             (["twoqubit", "--d", "0"], {}, "--d"),
             (["levels", "--levels", "0"], {}, "--levels"),
@@ -104,6 +108,8 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
             (["rabi", "--duration", "0.0005"], {}, "numerical failure"),
             # one RK4 step: a drive period would be a 2e9-sample window
             (["rabi", "--duration", "1e-12"], {}, "smoothing window"),
+            # a subnormal step: a drive period is an inf-sample window
+            (["rabi", "--duration", "1e-314"], {}, "smoothing window"),
             # no drive coupling, so no flip period to integrate to
             (["rabi"], {"drive_ratio": 0.0}, "D01 is zero"),
             # V_e <sech^2> / hbar overflows: D01 = inf, a zero-length period
@@ -339,6 +345,45 @@ def test_manifest_lists_outputs(tmp_path):
         assert (tmp_path / "out" / name.split("/")[-1]).exists()
     summary = json.loads((out / "adiabaticity_summary.json").read_text())
     assert summary["max_beta"] < 1.0
+
+
+MANIFEST_KEYS = {"subcommand", "tool_version", "config", "derived_scales",
+                 "outputs", "wall_time_s"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive"], ["levels", "--times", "0.05", "--levels", "2"],
+    ["adiabaticity"], ["rabi"], ["twoqubit"],
+    ["twoqubit", "--fixture-paper-z"], ["validate"]], ids=" ".join)
+def test_manifest_lists_every_data_file(tmp_path, argv):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest.keys() == MANIFEST_KEYS
+    assert manifest["subcommand"] == argv[0]
+    assert manifest["outputs"] == sorted(
+        str(path) for path in out.iterdir() if path.name != "manifest.json")
+
+
+def test_perf_counter_called_only_in_main():
+    """One timing mechanism: the run's wall time is taken in cli.main."""
+    callers = set()
+
+    def visit(node, module, owner):
+        """Record the innermost function around each perf_counter call."""
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call) and "perf_counter" in (
+                    getattr(child.func, "attr", None),
+                    getattr(child.func, "id", None)):
+                callers.add(f"{module}.{owner}")
+            visit(child, module, inner)
+
+    for path in pathlib.Path(cli.__file__).parent.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, "<module>")
+    assert callers == {"cli.main"}
 
 
 def test_import_leaves_scipy_optimize_unloaded():

@@ -1,5 +1,6 @@
 import pathlib
 import re
+import sys
 import warnings
 from dataclasses import fields, replace
 
@@ -153,6 +154,18 @@ def test_weak_drive_is_silent(rabi_result):
         warnings.simplefilter("error")
         pipeline.warn_if_strong_drive(_drive(0.03, 0.03))
         pipeline.warn_if_strong_drive(rabi_result.params)
+
+
+def test_rabi_runs_under_a_profile_hook(qubit_solution, rabi_result):
+    """A profile or trace hook holds references to the period scan's
+    arrays; the run neither fails nor changes under one."""
+    previous = sys.getprofile()
+    sys.setprofile(lambda *args: None)
+    try:
+        result = pipeline.simulate_rabi(qubit_solution)
+    finally:
+        sys.setprofile(previous)
+    assert result.period == rabi_result.period
 
 
 def test_tiny_drive_length_scale_warns():
