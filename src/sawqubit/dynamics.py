@@ -14,6 +14,8 @@ the matrices are applied by a blocked prefix scan, so no Python code runs
 once per step.  A run keeps every stride-th step and the norm drift over
 all of them, and hands each chunk's populations to a consumer such as
 ``PeriodScan``, so its memory follows the rows it keeps, not its length.
+``PeriodScan`` keeps one running sum of p1 per drive period and takes the
+period from the first peak of those drive-period means.
 The step-by-step loop is kept as ``oracles.scalar_rk4``, the reference the
 tests compare against.
 """
@@ -33,8 +35,8 @@ STEP_FACTOR = 1000.0  # suggested steps per period of the fastest frequency
 MIN_PEAK = 0.05  # smallest p1 maximum that counts as an oscillation
 # A cap on the step count, and so on run time: ~0.15 us a step on one core
 # of a 2-vCPU x86 VM, ~15 s at the cap.  A row-capped run holds its rows,
-# a chunk of step matrices and the period scan's smoothing window (one
-# drive period of steps: ~1000 for a weak drive, at most the step count).
+# a chunk of step matrices and the period scan's one sum per drive period
+# (at most MAX_STEPS / STEP_FACTOR = 1e5 floats).
 MAX_STEPS = 1e8
 CHUNK_STEPS = 8192  # steps whose matrices are held in memory at once
 BLOCK_STEPS = 32  # steps per prefix-product block
@@ -67,21 +69,13 @@ class RabiParameters:
 
 @dataclass(frozen=True)
 class RabiTrajectory:
-    """Kept rows of a run: times and both amplitudes.
-
-    ``norm_drift`` is max |p0 + p1 - 1| over every step of the run, kept or
-    not; when not given it is taken over the rows.
-    """
+    """Kept rows of a run: times and both amplitudes, and ``norm_drift``,
+    max |p0 + p1 - 1| over every step of the run, kept or not."""
 
     times: np.ndarray
     c0: np.ndarray
     c1: np.ndarray
-    norm_drift: float | None = None
-
-    def __post_init__(self):
-        if self.norm_drift is None:
-            object.__setattr__(self, "norm_drift", float(
-                np.max(np.abs(self.p0 + self.p1 - 1.0))))
+    norm_drift: float
 
     @property
     def p0(self) -> np.ndarray:
@@ -306,112 +300,71 @@ class RabiPeriod:
 
 
 class PeriodScan:
-    """``extract_rabi_period`` over a trajectory fed chunk by chunk.
+    """Rabi period from a trajectory fed chunk by chunk.
 
     Call it with consecutive chunks of times and p1 (it fits
-    ``integrate_rabi``'s ``on_chunk``), then take ``period()``.  The moving
-    average is the running sum of p1 differenced one window apart, the sum
-    carried across chunks as np.cumsum over [carry, chunk], so each value
-    is the single-pass one bit for bit while only the last window of sums
-    is held.  The scan stops at the first peak.
+    ``integrate_rabi``'s ``on_chunk``), then take ``period()``.  p1 is
+    averaged over consecutive windows of ``window`` samples, about one
+    drive period each, so that drive-frequency micromotion cannot fake an
+    early peak.  Only the running sum of p1 at each window's last sample
+    is kept, the sum carried across chunks as np.cumsum over [carry,
+    chunk]: one float per window, at most n_steps / STEP_FACTOR of them
+    for a drive period of ``suggested_step`` steps.
     """
 
-    def __init__(self, smooth_window: int | None = None):
-        self.window = max(1, smooth_window or 1)
+    def __init__(self, window: int):
+        self.window = window
         self.count = 0  # samples fed
-        self.sums = np.zeros(0)  # the last window of sums, by index mod it
         self.carry = 0.0  # running sum through the last sample fed
-        self.last = np.empty(0)  # last two values of the scanned signal
-        self.top = -np.inf  # maximum of the scanned signal
-        self.peak = None  # (index, quadratic shift) of the first peak
+        self.ends = []  # running sums at the window ends, chunk by chunk
         self.start = np.empty(0)  # the first two times
 
     def __call__(self, times: np.ndarray, p1: np.ndarray) -> None:
         if self.start.size < 2:
             self.start = np.concatenate((self.start,
                                          times[:2 - self.start.size]))
-        self.count += p1.size
-        if self.peak is None:
-            self._scan(self.count - p1.size, p1)
-
-    def _smooth(self, k: int, x: np.ndarray) -> tuple[int, np.ndarray]:
-        """Moving averages completed by samples k, k + 1, ... of p1: those
-        centered (window - 1) // 2 samples earlier, from the first index
-        on.  Past the end of p1, feed zeros."""
-        w = self.window
-        s = np.cumsum(np.concatenate(([self.carry], x)))
+        s = np.cumsum(np.concatenate(([self.carry], p1)))
         self.carry = s[-1]
-        s = s[1:]  # s[j] = p1[0] + ... + p1[k + j]
-        if self.sums.size < min(w, k + s.size):
-            # grow toward one window in place, new entries zeroed, so that
-            # a wide window's sums are never held twice; no view of sums
-            # exists (take and put copy), and the default refcheck fails
-            # whenever a profile or trace hook holds a reference to it
-            self.sums.resize(min(w, max(2 * self.sums.size, k + s.size)),
-                             refcheck=False)
-        h = min(s.size, w)
-        before = np.concatenate((  # the sums w samples back
-            self.sums.take(np.arange(k, k + h), mode="wrap"), s[:s.size - h]))
-        self.sums.put(np.arange(k + s.size - h, k + s.size), s[s.size - h:],
-                      mode="wrap")
-        means = (s - before) / w
-        lag = (w - 1) // 2
-        return max(0, k - lag), means[max(0, lag - k):]
+        # s[j] sums samples 0 .. count - 1 + j; windows end where
+        # count + j is a multiple of the window (a copy: a view would keep
+        # the chunk's sums)
+        self.ends.append(s[self.window - self.count % self.window::
+                           self.window].copy())
+        self.count += p1.size
 
-    def _scan(self, k: int, x: np.ndarray) -> None:
-        """Look for the first peak in samples k, k + 1, ... of p1."""
-        if self.window > 1:
-            k, x = self._smooth(k, x)
-        y = np.concatenate((self.last, x))
+    def means(self) -> np.ndarray:
+        """Mean p1 over each whole window fed so far."""
+        return np.diff(np.concatenate(self.ends), prepend=0.0) / self.window
+
+    def period(self) -> RabiPeriod:
+        """Twice the time of the first maximum of the window means.
+
+        The discrete peak is refined by a quadratic fit through its
+        neighbors and placed at its window's center; the doubling assumes
+        a sin^2-like signal starting from p1(0) ~ 0, on evenly spaced
+        times.
+        """
+        w = self.window
+        if w > self.count:
+            raise NoOscillationError(
+                f"smoothing window of {w} samples exceeds the {self.count}"
+                f"-sample trajectory: it spans less than one drive period")
+        y = self.means()
         mid = y[1:-1]
         peaks = np.flatnonzero((mid > y[:-2]) & (mid >= y[2:])
                                & (mid >= MIN_PEAK)) + 1
-        if peaks.size:
-            i = int(peaks[0])
-            y0, y1, y2 = y[i - 1], y[i], y[i + 1]
-            denom = y0 - 2.0 * y1 + y2
-            shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-            self.peak = (k - self.last.size + i, shift)
-        if x.size:
-            self.top = np.maximum(self.top, x.max())
-        self.last = y[-2:].copy()
-
-    def period(self) -> RabiPeriod:
-        method = "double_first_peak_quadratic"
-        if self.window > 1:
-            if self.window > self.count:
+        if not peaks.size:
+            if y.max() < MIN_PEAK:
                 raise NoOscillationError(
-                    f"smoothing window of {self.window} samples exceeds the "
-                    f"{self.count}-sample trajectory: it spans less than one "
-                    f"drive period")
-            if self.peak is None:
-                self._scan(self.count, np.zeros((self.window - 1) // 2))
-            method = "double_first_peak_quadratic_smoothed"
-        if self.peak is None:
-            if self.top < MIN_PEAK:
-                raise NoOscillationError(
-                    f"max p1 = {self.top:.4f} < {MIN_PEAK}; no oscillation "
+                    f"max p1 = {y.max():.4f} < {MIN_PEAK}; no oscillation "
                     f"detected")
             raise NoOscillationError("population rises but never turns "
                                      "over; extend the trajectory")
-        i, shift = self.peak
-        t0 = self.start[0]
-        dt = self.start[1] - t0
-        t_peak = t0 + dt * i + shift * dt
-        return RabiPeriod(period=2.0 * float(t_peak - t0), method=method)
-
-
-def extract_rabi_period(traj: RabiTrajectory,
-                        smooth_window: int | None = None) -> RabiPeriod:
-    """Oscillation period as twice the time of the first p1 maximum.
-
-    The discrete peak is refined by a quadratic fit through its neighbors;
-    the doubling assumes a sin^2-like signal starting from p1(0) ~ 0, on
-    evenly spaced times.  ``smooth_window`` (samples) applies a moving
-    average first, to suppress drive-frequency micromotion that would
-    otherwise fake an early peak; pass roughly one drive period worth of
-    samples.  The trajectory is one chunk of ``PeriodScan``.
-    """
-    scan = PeriodScan(smooth_window)
-    scan(traj.times, traj.p1)
-    return scan.period()
+        i = int(peaks[0])
+        y0, y1, y2 = y[i - 1:i + 2]
+        denom = y0 - 2.0 * y1 + y2
+        shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
+        center = (i + 1) * w - 1 - (w - 1) // 2  # sample at the center
+        dt = self.start[1] - self.start[0]
+        return RabiPeriod(period=2.0 * float(dt * (center + shift * w)),
+                          method="double_first_peak_quadratic_smoothed")

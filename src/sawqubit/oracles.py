@@ -207,7 +207,9 @@ def scalar_rk4(params: dynamics.RabiParameters, t_span: tuple[float, float],
         out0[step + 1] = c0
         out1[step + 1] = c1
 
-    return dynamics.RabiTrajectory(times=times, c0=out0, c1=out1)
+    drift = np.max(np.abs(np.abs(out0) ** 2 + np.abs(out1) ** 2 - 1.0))
+    return dynamics.RabiTrajectory(times=times, c0=out0, c1=out1,
+                                   norm_drift=float(drift))
 
 
 def check_saw_time_derivative() -> OracleResult:

@@ -259,11 +259,12 @@ def simulate_rabi(sol: QubitSolution,
 
     The trajectory spans ``duration`` seconds when given, else
     RABI_SPAN_PERIODS estimated Rabi periods, and keeps at most
-    MAX_TRAJECTORY_ROWS rows; the period is scanned from every step as the
-    run goes, smoothed over one drive period to suppress micromotion.
-    Warns (StrongDriveWarning) before integrating when the drive is too
-    strong for the estimate; raises NoOscillationError when one drive
-    period, the smoothing window, spans more samples than the run.
+    MAX_TRAJECTORY_ROWS rows; the period is the first peak of p1 averaged
+    over consecutive drive periods (``PeriodScan``), summed from every step
+    as the run goes.  Warns (StrongDriveWarning) before integrating when
+    the drive is too strong for the estimate; raises NoOscillationError
+    when one drive period, the smoothing window, spans more samples than
+    the run, or when the means never rise and turn over.
     """
     params = rabi_parameters(sol)
     if params.D[0, 1] == 0:

@@ -423,8 +423,7 @@ CONTRACT_COMMANDS = {
     "twoqubit-solved": ["twoqubit"],
     # rabi stays out for its run time: a random config can ask for up to
     # dynamics.MAX_STEPS = 1e8 RK4 steps at ~0.15 us a step (~15 s); its
-    # memory follows the 4001 rows it keeps and one drive period of
-    # samples, not the step count
+    # memory follows the 4001 rows it keeps, not the step count
 }
 
 

@@ -6,9 +6,9 @@ import pytest
 
 from sawqubit import dynamics, oracles, pipeline
 from sawqubit.dynamics import (NoOscillationError, RabiParameters,
-                               RabiTrajectory, StepSizeError,
-                               extract_rabi_period, integrate_rabi,
+                               StepSizeError, integrate_rabi,
                                rwa_population, suggested_step)
+from sawqubit.params import DeviceConfig
 
 NORM_DRIFT_TOL = 1e-8
 PERIOD_RTOL = 1e-4
@@ -157,15 +157,15 @@ def test_transient_memory_is_bounded_by_the_chunk():
 
 
 def test_streamed_memory_is_bounded_by_rows_and_window():
-    """A row-capped integration feeding the smoothed period scan holds at
-    most 8 chunks' step matrices, one smoothing window of sums and the
-    kept rows; ten times the steps stays within the same bound."""
+    """A row-capped integration feeding the period scan holds at most 8
+    chunks' step matrices and the kept rows; ten times the steps stays
+    within the same bound.  The scan alone, fed three windows of a
+    million samples chunk by chunk, holds a few chunks of sums."""
     params = _synthetic_params(d01=1e-3, d00=2.0, d11=1.5)
     dt = suggested_step(params)
     window = int(round(2.0 * math.pi / params.omega_drive / dt))
     rows = 4001
-    bound = (8 * 4 * 16 * dynamics.CHUNK_STEPS + 8 * window
-             + rows * (8 + 16 + 16))
+    bound = 8 * 4 * 16 * dynamics.CHUNK_STEPS + rows * (8 + 16 + 16)
     for n_steps in (40_000, 400_000):
         span = (0.0, n_steps * dt)
         integrate_rabi(params, span, dt, (1.0, 0.0), max_rows=rows,
@@ -181,6 +181,20 @@ def test_streamed_memory_is_bounded_by_rows_and_window():
         assert traj.times.size == rows
         assert peak <= bound, (n_steps, peak, bound)
 
+    window, chunk = 10**6, dynamics.CHUNK_STEPS + 1
+    times = np.arange(chunk, dtype=float)
+    p1 = np.full(chunk, 0.5)  # no peak ends the scan early
+    tracemalloc.start()
+    try:
+        scan = dynamics.PeriodScan(window)
+        for _ in range(3 * window // chunk + 1):
+            scan(times, p1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.count >= 3 * window
+    assert peak <= 4 * 8 * chunk, peak
+
 
 def test_rwa_oracle_memory_is_bounded_by_the_chunk():
     """The oracle folds its deviation chunk by chunk: its 1e6 steps peak
@@ -195,42 +209,46 @@ def test_rwa_oracle_memory_is_bounded_by_the_chunk():
     assert peak <= 8 * 4 * 16 * dynamics.CHUNK_STEPS
 
 
-def _one_pass_period(traj, window=None):
-    """The single-pass period extraction: the whole p1, its moving average
-    from one running sum, and the first peak among all samples."""
-    p1 = traj.p1
-    method = "double_first_peak_quadratic"
-    if window is not None and window > 1:
-        if window > p1.size:
-            raise NoOscillationError(
-                f"smoothing window of {window} samples exceeds the "
-                f"{p1.size}-sample trajectory: it spans less than one drive "
-                f"period")
-        n, before, after = p1.size, window // 2, (window - 1) // 2
-        sums = np.cumsum(p1)
-        p1 = np.empty(n)
-        p1[:n - after] = sums[after:]
-        p1[n - after:] = sums[-1]
-        p1[before + 1:] -= sums[:n - before - 1]
-        p1 /= window
-        method = "double_first_peak_quadratic_smoothed"
-    if p1.max() < dynamics.MIN_PEAK:
-        raise NoOscillationError(f"max p1 = {p1.max():.4f} < "
-                                 f"{dynamics.MIN_PEAK}; no oscillation "
-                                 f"detected")
-    peaks = np.flatnonzero((p1[1:-1] > p1[:-2]) & (p1[1:-1] >= p1[2:])) + 1
-    peaks = peaks[p1[peaks] >= dynamics.MIN_PEAK]
-    if peaks.size == 0:
+def _window_means(p1, window):
+    """Means of p1 over consecutive whole windows, in one pass: the
+    running sum, every window-th value of it, differenced."""
+    return np.diff(np.cumsum(p1)[window - 1::window], prepend=0.0) / window
+
+
+def _first_peak(y):
+    """Index of the first sample of y above both neighbors (equal to the
+    right one allowed) and at least MIN_PEAK, or None."""
+    for i in range(1, y.size - 1):
+        if y[i - 1] < y[i] >= y[i + 1] and y[i] >= dynamics.MIN_PEAK:
+            return i
+    return None
+
+
+def _one_pass_period(times, p1, window):
+    """The single-pass period extraction: the window means of the whole
+    p1, their first peak refined by a quadratic fit, at its window's
+    center."""
+    if window > p1.size:
+        raise NoOscillationError(
+            f"smoothing window of {window} samples exceeds the {p1.size}"
+            f"-sample trajectory: it spans less than one drive period")
+    y = _window_means(p1, window)
+    i = _first_peak(y)
+    if i is None:
+        if y.max() < dynamics.MIN_PEAK:
+            raise NoOscillationError(f"max p1 = {y.max():.4f} < "
+                                     f"{dynamics.MIN_PEAK}; no oscillation "
+                                     f"detected")
         raise NoOscillationError("population rises but never turns over; "
                                  "extend the trajectory")
-    i = int(peaks[0])
-    y0, y1, y2 = p1[i - 1], p1[i], p1[i + 1]
+    y0, y1, y2 = y[i - 1], y[i], y[i + 1]
     denom = y0 - 2.0 * y1 + y2
     shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
-    dt = traj.times[1] - traj.times[0]
-    t_peak = traj.times[i] + shift * dt
-    return dynamics.RabiPeriod(period=2.0 * float(t_peak - traj.times[0]),
-                               method=method)
+    center = (i + 1) * window - 1 - (window - 1) // 2
+    dt = times[1] - times[0]
+    return dynamics.RabiPeriod(
+        period=2.0 * float(dt * (center + shift * window)),
+        method="double_first_peak_quadratic_smoothed")
 
 
 def _outcome(extract, *args):
@@ -241,13 +259,12 @@ def _outcome(extract, *args):
         return str(err)
 
 
-def _fed(traj, window, cuts):
-    """PeriodScan fed the trajectory in the pieces between ``cuts``."""
+def _fed(times, p1, window, cuts=()):
+    """PeriodScan fed (times, p1) in the pieces between ``cuts``."""
     scan = dynamics.PeriodScan(window)
-    edges = [0, *sorted({c for c in cuts if 0 < c < traj.times.size}),
-             traj.times.size]
+    edges = [0, *sorted({c for c in cuts if 0 < c < times.size}), times.size]
     for a, b in zip(edges[:-1], edges[1:]):
-        scan(traj.times[a:b], traj.p1[a:b])
+        scan(times[a:b], p1[a:b])
     return scan.period()
 
 
@@ -258,60 +275,50 @@ def _flip_trajectory():
         int(round(2.0 * math.pi / params.omega_drive / dt))
 
 
-def _constant(n, value):
-    return RabiTrajectory(times=np.linspace(0.0, 1.0, n),
-                          c0=np.full(n, math.sqrt(1.0 - value), complex),
-                          c1=np.full(n, math.sqrt(value), complex))
-
-
-def _rising(n):
-    times = np.linspace(0.0, 1.0, n)
-    return RabiTrajectory(times=times, c0=np.cos(times).astype(complex),
-                          c1=np.sin(times).astype(complex))
-
-
 @pytest.mark.parametrize("case", ["drive_period", "unsmoothed", "wide",
                                   "whole", "flat", "flat_unsmoothed",
                                   "rising_unsmoothed", "too_wide"])
 def test_streamed_period_equals_one_pass(case):
     """Fed in any chunking, the period scan gives the single-pass period
     bit for bit, or the same NoOscillationError message: chunk edges on,
-    just before and just after the first peak and the sample that
-    confirms it, chunks smaller than the window, one chunk."""
+    just before and just after the ends of the peak's window and of the
+    window that confirms it, chunks smaller than the window, one chunk.
+    The unsmoothed cases have a one-sample window."""
     traj, window = _flip_trajectory()
-    n = traj.times.size
+    times, p1 = traj.times, traj.p1
     if case == "unsmoothed":
-        window = None
+        window = 1
     elif case == "wide":  # a window larger than the chunks below
         window = 3 * 997
-    elif case == "whole":
-        window = n
+    elif case == "whole":  # one window: nothing to compare it with
+        window = times.size
     elif case.startswith("flat"):
-        traj = _constant(20_001, 0.01)
-        window = None if case == "flat_unsmoothed" else 500
+        times = np.linspace(0.0, 1.0, 20_001)
+        p1 = np.full(times.size, 0.01)
+        window = 1 if case == "flat_unsmoothed" else 500
     elif case == "rising_unsmoothed":
-        traj, window = _rising(20_001), None
+        times = np.linspace(0.0, 1.0, 20_001)
+        p1, window = np.sin(times) ** 2, 1
     elif case == "too_wide":
-        window = n + 1
-    n = traj.times.size
-    expected = _outcome(_one_pass_period, traj, window)
+        window = times.size + 1
+    n = times.size
+    expected = _outcome(_one_pass_period, times, p1, window)
     if isinstance(expected, str):
+        assert case in ("whole", "flat", "flat_unsmoothed",
+                        "rising_unsmoothed", "too_wide"), expected
         assert "no oscillation" in expected or "never turns" in expected \
             or "exceeds" in expected
     else:
-        assert case in ("drive_period", "unsmoothed", "wide", "whole")
-    one = dynamics.PeriodScan(window)
-    one(traj.times, traj.p1)
-    lag = 0 if window is None else (window - 1) // 2
-    i = one.peak[0] if one.peak is not None else n // 2
+        assert case in ("drive_period", "unsmoothed", "wide")
+    i = _first_peak(_window_means(p1, window)) if window <= n else None
+    i = n // (2 * window) if i is None else i
+    ends = [(i + 1) * window - 1, (i + 2) * window - 1]  # last samples
     chunkings = [[], list(range(997, n, 997)),
                  list(range(dynamics.CHUNK_STEPS, n, dynamics.CHUNK_STEPS)),
-                 *([i + d] for d in (-1, 0, 1, 2)),
-                 *([i + lag + d] for d in (0, 1, 2, 3)),
-                 [i, i + lag + 2], [1, 2, i + 1]]
-    assert _outcome(extract_rabi_period, traj, window) == expected
+                 *([e + d] for e in ends for d in (-1, 0, 1, 2)),
+                 [ends[0], ends[1] + 1], [1, 2, ends[0] + 1]]
     for cuts in chunkings:
-        assert _outcome(_fed, traj, window, cuts) == expected, cuts
+        assert _outcome(_fed, times, p1, window, cuts) == expected, cuts
 
 
 def test_row_capped_run_keeps_the_full_runs_rows_and_figures():
@@ -330,7 +337,8 @@ def test_row_capped_run_keeps_the_full_runs_rows_and_figures():
             np.testing.assert_array_equal(getattr(kept, name),
                                           getattr(traj, name)[::stride])
         assert kept.norm_drift == traj.norm_drift
-        assert scan.period() == _one_pass_period(traj, window)
+        assert scan.period() == _one_pass_period(traj.times, traj.p1,
+                                                 window)
 
 
 def test_default_device_streamed_rabi_matches_full(rabi_result):
@@ -350,7 +358,8 @@ def test_default_device_streamed_rabi_matches_full(rabi_result):
     assert capped.norm_drift == full.norm_drift
     window = int(round(2.0 * math.pi / params.omega_drive
                        / (full.times[1] - full.times[0])))
-    assert rabi_result.period == _one_pass_period(full, window)
+    assert rabi_result.period == _one_pass_period(full.times, full.p1,
+                                                  window)
 
 
 def test_rwa_oracle_figures_match_the_full_trajectory(oracle_results):
@@ -388,74 +397,73 @@ def test_rwa_population_zero_coupling():
 
 
 def test_extract_period_synthetic():
+    """A sin^2 flip gives its period, with a one-sample window and with
+    a wider one."""
     omega = 3.0
     times = np.linspace(0.0, 3.0 * math.pi / omega, 20001)
-    c1 = np.sin(omega * times / 2.0)
-    c0 = np.cos(omega * times / 2.0)
-    traj = RabiTrajectory(times=times, c0=c0.astype(complex),
-                          c1=c1.astype(complex))
-    period = extract_rabi_period(traj)
-    assert period.period == pytest.approx(2.0 * math.pi / omega,
-                                          rel=PERIOD_RTOL)
-    assert period.method == "double_first_peak_quadratic"
+    for window in (1, 21):
+        period = _fed(times, np.sin(omega * times / 2.0) ** 2, window)
+        assert period.period == pytest.approx(2.0 * math.pi / omega,
+                                              rel=PERIOD_RTOL)
+        assert period.method == "double_first_peak_quadratic_smoothed"
 
 
 def test_extract_period_flat_signal():
-    times = np.linspace(0.0, 1.0, 101)
-    traj = RabiTrajectory(times=times,
-                          c0=np.ones(101, dtype=complex),
-                          c1=np.zeros(101, dtype=complex))
-    with pytest.raises(NoOscillationError):
-        extract_rabi_period(traj)
+    with pytest.raises(NoOscillationError, match="no oscillation"):
+        _fed(np.linspace(0.0, 1.0, 101), np.zeros(101), 10)
 
 
 def test_extract_period_smoothing_rejects_micromotion():
     """A fast small ripple on the sin^2 envelope must not truncate the
-    extracted period when smoothing is on."""
+    extracted period when the window spans one ripple period."""
     omega = 1.0
     ripple_omega = 200.0
     times = np.linspace(0.0, 3.0 * math.pi / omega, 60001)
     p1 = (np.sin(omega * times / 2.0) ** 2
           + 0.03 * np.sin(ripple_omega * times) ** 2)
-    c1 = np.sqrt(np.clip(p1, 0.0, 1.0))
-    c0 = np.sqrt(np.clip(1.0 - p1, 0.0, 1.0))
-    traj = RabiTrajectory(times=times, c0=c0.astype(complex),
-                          c1=c1.astype(complex))
-    raw = extract_rabi_period(traj)
+    raw = _fed(times, p1, 1)
     dt = times[1] - times[0]
     window = int(round(2.0 * math.pi / ripple_omega / dt))
-    smooth = extract_rabi_period(traj, smooth_window=window)
+    smooth = _fed(times, p1, window)
     assert raw.period < 0.5 * (2.0 * math.pi / omega)  # fooled by the ripple
-    # the sin^2 top is flat, so residual ripple still nudges the peak a bit
-    assert smooth.period == pytest.approx(2.0 * math.pi / omega, rel=0.15)
-    assert smooth.method == "double_first_peak_quadratic_smoothed"
+    # a window of whole ripple periods averages it out to a constant
+    assert smooth.period == pytest.approx(2.0 * math.pi / omega, rel=1e-3)
 
 
 @pytest.mark.parametrize("n, window", [(10, 10), (11, 4), (100, 7),
-                                       (1000, 1), (5000, 4999)])
+                                       (1000, 1), (5000, 4999), (12, 3),
+                                       (3000, 1000)])
 def test_moving_average_matches_convolution(n, window):
-    """The streamed running-sum smoothing, fed three samples at a time and
-    then the zeros past the end, equals the centered convolution with a
-    flat kernel, zero-padded at both ends."""
+    """The scan's window means, fed three samples at a time, are the mean
+    of each whole window of p1, i.e. the flat-kernel moving average taken
+    at every window-th sample."""
     x = np.random.default_rng(n).random(n)
-    expected = np.convolve(x, np.ones(window) / window, mode="same")
     scan = dynamics.PeriodScan(window)
-    parts = [scan._smooth(k, x[k:k + 3]) for k in range(0, n, 3)]
-    parts.append(scan._smooth(n, np.zeros((window - 1) // 2)))
-    starts = np.cumsum([0] + [means.size for _, means in parts[:-1]])
-    assert [start for start, _ in parts] == starts.tolist()
-    np.testing.assert_allclose(np.concatenate([m for _, m in parts]),
-                               expected, rtol=0.0, atol=1e-12)
+    for k in range(0, n, 3):
+        scan(np.arange(k, min(k + 3, n)), x[k:k + 3])
+    means = scan.means()
+    expected = [x[k * window:(k + 1) * window].mean()
+                for k in range(n // window)]
+    np.testing.assert_allclose(means, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(
+        means, np.convolve(x, np.ones(window) / window, "valid")[::window],
+        rtol=0.0, atol=1e-12)
 
 
 def test_default_device_full_flip(rabi_result):
     """Resonant drive from the solved spectrum reaches full inversion and
-    the extracted period matches 2*pi/|D01|."""
-    traj = rabi_result.trajectory
-    assert traj.p1.max() > 0.999
-    assert traj.norm_drift <= NORM_DRIFT_TOL
-    assert rabi_result.period.period == pytest.approx(
-        rabi_result.estimated_period, rel=5e-3)
+    the extracted period matches 2*pi/|D01|, on the default and the narrow
+    device."""
+    narrow = pipeline.simulate_rabi(pipeline.solve_qubit(
+        DeviceConfig(gamma=0.3625, a=4.083e-7)))
+    for result in (rabi_result, narrow):
+        traj = result.trajectory
+        assert traj.p1.max() > 0.999
+        assert traj.norm_drift <= NORM_DRIFT_TOL
+        # as a ratio: approx's default abs of 1e-12 would pass any period
+        # within 1e-12 s, 1% of these
+        assert result.period.period / result.estimated_period \
+            == pytest.approx(1.0, rel=1e-3)
 
 
 def test_coefficient_matrix_symmetric(qubit_solution, rabi_result):
