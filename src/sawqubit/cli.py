@@ -175,7 +175,6 @@ def cmd_levels(args, config: DeviceConfig, run: _Run) -> int:
         times = _parse_times_ns(args.times)
     else:
         times = pipeline.default_times(scales, 8)
-    well_width = config.saw_wavelength / config.a  # natural units
     level_rows = []
     # every potential file shares the full-domain z column: format it once
     zeta = pipeline.default_grid(config).points
@@ -193,7 +192,8 @@ def cmd_levels(args, config: DeviceConfig, run: _Run) -> int:
         cols = [run.val(levels.grid.points * scales.natural_length, "m")]
         run.csv(f"wavefunctions_{i:02d}.csv", header,
                 cols + list(levels.states))
-        fractions = bound_fractions(levels, center, well_width)
+        fractions = bound_fractions(
+            levels, potential.effective(levels.grid.points, t, scales), center)
         for n, (energy, frac) in enumerate(zip(levels.energies, fractions)):
             level_rows.append((run.val(t, "s"), n,
                                run.val(scales.energy_to_si(energy), "J"),
@@ -243,8 +243,8 @@ def cmd_rabi(args, config: DeviceConfig, run: _Run) -> int:
             [run.val(traj.times, "s"), traj.c0.real, traj.c0.imag,
              traj.c1.real, traj.c1.imag, traj.p0, traj.p1])
     json_path = run.json("rabi_summary.json", {
-        "rabi_period": run.val(result.period.period, "s"),
-        "rabi_period_method": result.period.method,
+        "rabi_period": run.val(result.period, "s"),
+        "rabi_period_method": dynamics.PERIOD_METHOD,
         "estimated_period": run.val(result.estimated_period, "s"),
         "resonance_rad_per_s": result.params.omega_drive,
         "D00_rad_per_s": float(result.params.D[0, 0]),
@@ -253,8 +253,8 @@ def cmd_rabi(args, config: DeviceConfig, run: _Run) -> int:
         "norm_drift": traj.norm_drift,
         "units": args.units,
     })
-    print(f"Rabi period {result.period.period:.4e} s "
-          f"({result.period.method}) -> {json_path}")
+    print(f"Rabi period {result.period:.4e} s ({dynamics.PERIOD_METHOD}) "
+          f"-> {json_path}")
     return EXIT_OK
 
 

@@ -7,15 +7,16 @@ The amplitude equations (with level frequencies w0, w1 and a cosine drive)
 
 are integrated with a fixed-step classical 4th-order Runge-Kutta scheme for
 deterministic, regression-friendly output.  Being linear, each RK4 step is a
-2x2 matrix, a fixed polynomial in the drive cosines at the step's start,
-midpoint and end.  Its coefficients are found once per integration; a chunk
-of step matrices is then one BLAS product with the cosine monomials, and
-the matrices are applied by a blocked prefix scan, so no Python code runs
-once per step.  A run keeps every stride-th step and the norm drift over
-all of them, and hands each chunk's populations to a consumer such as
+2x2 matrix, built by matrix products on stacked (..., 2, 2) arrays, and a
+fixed polynomial in the drive cosines at the step's start, midpoint and
+end.  Its coefficients are found once per integration; a chunk of step
+matrices is then one BLAS product with the cosine monomials, and the
+matrices are applied by a blocked prefix scan, so no Python code runs once
+per step.  A run keeps every stride-th step and the norm drift over all of
+them, and hands each chunk's populations to a consumer such as
 ``PeriodScan``, so its memory follows the rows it keeps, not its length.
-``PeriodScan`` keeps one running sum of p1 per drive period and takes the
-period from the first peak of those drive-period means.
+``PeriodScan`` keeps one running sum of p1 per drive period and returns the
+period, a float, from the first peak of those drive-period means.
 The step-by-step loop is kept as ``oracles.scalar_rk4``, the reference the
 tests compare against.
 """
@@ -33,6 +34,7 @@ from .eigensolver import Levels
 STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
 STEP_FACTOR = 1000.0  # suggested steps per period of the fastest frequency
 MIN_PEAK = 0.05  # smallest p1 maximum that counts as an oscillation
+PERIOD_METHOD = "double_first_peak_quadratic_smoothed"  # of PeriodScan
 # A cap on the step count, and so on run time: ~0.15 us a step on one core
 # of a 2-vCPU x86 VM, ~15 s at the cap.  A row-capped run holds its rows,
 # a chunk of step matrices and the period scan's one sum per drive period
@@ -102,18 +104,11 @@ def suggested_step(params: RabiParameters) -> float:
     return 2.0 * math.pi / (STEP_FACTOR * params.max_frequency())
 
 
-def _matmul(a, b):
-    """2x2 product of matrices stored as four entry arrays (00, 01, 10, 11)."""
-    a00, a01, a10, a11 = a
-    b00, b01, b10, b11 = b
-    return (a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
-            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
-
-
 def _step_matrices(params: RabiParameters, dt: float, cos_a, cos_b,
-                   cos_c) -> tuple:
-    """Entries of the RK4 step matrix for the drive cosines ``cos_a``,
-    ``cos_b`` and ``cos_c`` at the start, midpoint and end of a step.
+                   cos_c) -> np.ndarray:
+    """RK4 step matrices, complex and shaped (..., 2, 2), for the drive
+    cosines ``cos_a``, ``cos_b`` and ``cos_c`` (broadcast together) at the
+    start, midpoint and end of a step.
 
     With dC/dt = -i H(t) C, H = diag(w0, w1) + D cos(w t), and G = dt H at
     the start (a), midpoint (b) and end (c) of a step, one RK4 step maps C
@@ -121,22 +116,13 @@ def _step_matrices(params: RabiParameters, dt: float, cos_a, cos_b,
         M = I - i (Ga + 4 Gb + Gc)/6 - (Gb Ga + Gb^2 + Gc Gb)/6
               + i (Gb^2 Ga + Gc Gb^2)/12 + Gc Gb^2 Ga/24.
     """
-    d00, d01, d10, d11 = (dt * params.D[i, j] for i in (0, 1) for j in (0, 1))
-    g0 = dt * params.omega0
-    g1 = dt * params.omega1
-
-    def g(cos):
-        return (g0 + d00 * cos, d01 * cos, d10 * cos, g1 + d11 * cos)
-
-    ga, gb, gc = g(cos_a), g(cos_b), g(cos_c)
-    gb2 = _matmul(gb, gb)
-    gcgb2 = _matmul(gc, gb2)
-    terms = zip((1.0, 0.0, 0.0, 1.0), ga, gb, gc, _matmul(gb, ga), gb2,
-                _matmul(gc, gb), _matmul(gb2, ga), gcgb2, _matmul(gcgb2, ga))
-    return tuple(
-        eye - (ba + bb + cb) / 6.0 + cbba / 24.0
-        + 1j * ((bba + cbb) / 12.0 - (a + 4.0 * b + c) / 6.0)
-        for eye, a, b, c, ba, bb, cb, bba, cbb, cbba in terms)
+    g0 = np.diag([dt * params.omega0, dt * params.omega1])
+    ga, gb, gc = (g0 + dt * params.D * np.asarray(cos)[..., None, None]
+                  for cos in (cos_a, cos_b, cos_c))
+    gb2 = gb @ gb
+    gcgb2 = gc @ gb2
+    return (np.eye(2) - (gb @ ga + gb2 + gc @ gb) / 6.0 + gcgb2 @ ga / 24.0
+            + 1j * ((gb2 @ ga + gcgb2) / 12.0 - (ga + 4.0 * gb + gc) / 6.0))
 
 
 def _step_polynomial(params: RabiParameters, dt: float) -> np.ndarray:
@@ -149,14 +135,13 @@ def _step_polynomial(params: RabiParameters, dt: float) -> np.ndarray:
     the exact interpolant of ``_step_matrices`` on the nodes
     cos_a, cos_c in {0, 1} and cos_b in {-1, 0, 1}.
     """
-    # [entry, a node, b node, c node]
-    m = np.array(_step_matrices(params, dt,
-                                np.array([0.0, 1.0])[:, None, None],
-                                np.array([-1.0, 0.0, 1.0])[:, None],
-                                np.array([0.0, 1.0])))
+    # [a node, b node, c node, row, column]
+    m = _step_matrices(params, dt, np.array([0.0, 1.0])[:, None, None],
+                       np.array([-1.0, 0.0, 1.0])[:, None],
+                       np.array([0.0, 1.0]))
     linear = np.array([[1.0, 0.0], [-1.0, 1.0]])
     quadratic = np.array([[0.0, 1.0, 0.0], [-0.5, 0.0, 0.5], [0.5, -1.0, 0.5]])
-    coef = np.einsum("pi,qj,rk,eijk->epqr", linear, quadratic, linear,
+    coef = np.einsum("pi,qj,rk,ijkxy->xypqr", linear, quadratic, linear,
                      m).reshape(4, 12)
     return np.concatenate((coef.real, coef.imag))
 
@@ -293,12 +278,6 @@ def rwa_population(Omega: float, detuning: float, t) -> float | np.ndarray:
     return out if out.shape else float(out)
 
 
-@dataclass(frozen=True)
-class RabiPeriod:
-    period: float  # s
-    method: str
-
-
 class PeriodScan:
     """Rabi period from a trajectory fed chunk by chunk.
 
@@ -336,8 +315,9 @@ class PeriodScan:
         """Mean p1 over each whole window fed so far."""
         return np.diff(np.concatenate(self.ends), prepend=0.0) / self.window
 
-    def period(self) -> RabiPeriod:
-        """Twice the time of the first maximum of the window means.
+    def period(self) -> float:
+        """Twice the time of the first maximum of the window means, as a
+        float in the units of the times fed (``PERIOD_METHOD``).
 
         The discrete peak is refined by a quadratic fit through its
         neighbors and placed at its window's center; the doubling assumes
@@ -366,5 +346,4 @@ class PeriodScan:
         shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
         center = (i + 1) * w - 1 - (w - 1) // 2  # sample at the center
         dt = self.start[1] - self.start[0]
-        return RabiPeriod(period=2.0 * float(dt * (center + shift * w)),
-                          method="double_first_peak_quadratic_smoothed")
+        return 2.0 * float(dt * (center + shift * w))

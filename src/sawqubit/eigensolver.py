@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 RESIDUAL_TOL = 1e-8
-# Smallest fraction of a state's weight inside the well window (see
+# Smallest fraction of a state's weight between the well's crests (see
 # ``bound_fractions``) for the state to count as bound.
 BOUND_FRACTION = 0.99
 
@@ -152,17 +152,14 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int, grid: Grid) -> Levels:
     return Levels(energies=w, states=states, grid=grid)
 
 
-def bound_fractions(levels: Levels, well_center: float,
-                    well_width: float) -> np.ndarray:
-    """Fraction of each state's weight inside the well window
-    [center +/- width/2]."""
-    if not (well_width > 0):
-        raise ValueError("well_width must be positive")
-    grid = levels.grid
-    lo, hi = well_center - well_width / 2.0, well_center + well_width / 2.0
-    if hi < grid.z_min or lo > grid.z_max:
-        raise ValueError("well window lies outside the grid")
-    z = grid.points
-    mask = (z >= lo) & (z <= hi)
-    return np.array([np.sum(psi[mask] ** 2)
-                     for psi in levels.states]) * grid.h
+def bound_fractions(levels: Levels, v: np.ndarray,
+                    well_center: float) -> np.ndarray:
+    """Fraction of each state's weight between the crests that flank the
+    well: the highest samples of ``v``, the potential on the levels' grid,
+    on either side of ``well_center``."""
+    z = levels.grid.points
+    if not z[0] < well_center < z[-1]:
+        raise ValueError("well center lies outside the grid")
+    c = int(np.searchsorted(z, well_center))
+    lo, hi = int(np.argmax(v[:c])), c + int(np.argmax(v[c:]))
+    return np.sum(levels.states[:, lo:hi + 1] ** 2, axis=1) * levels.grid.h

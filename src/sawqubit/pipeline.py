@@ -55,17 +55,21 @@ def default_times(scales: DerivedScales,
 
 # The moving-dot (qubit) levels sit high in the global spectrum of the
 # full domain, whose lowest states live in the deep SAW troughs outside the
-# channel.  The dot levels are therefore solved on a moving window of width
-# lambda centered on the tracked well minimum, with Dirichlet walls on the
-# surrounding potential crests.  Its resolution, DOT_WINDOW_POINTS, lives
-# in params, whose derived scales keep the window's kinetic term finite.
+# channel.  The dot levels are therefore solved on a moving window, the
+# tracked well minimum +/- lambda/2, with Dirichlet walls at its ends.  The
+# walls sit on the SAW crests only where the barrier does not shift them;
+# near mid-period the barrier raises a crest inside the window, and a level
+# of the window can then lie past it, outside the dot (the ``levels`` bound
+# flag).  The window's resolution, DOT_WINDOW_POINTS, lives in params,
+# whose derived scales keep the window's kinetic term finite.
 def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
                      count: int) -> tuple[Levels, float]:
-    """Lowest ``count`` levels of the well nearest the barrier at SI time t.
+    """Lowest ``count`` levels of the window around the well nearest the
+    barrier at SI time t.
 
     Returns (levels on the window grid, well center in z/a units).  The
-    window walls sit on the potential crests flanking the well, so deep dot
-    levels are insensitive to them.
+    window is the center +/- lambda/2; its walls sit on the potential
+    crests flanking the well only where the barrier does not shift them.
     """
     center = adiabatic.find_well_minimum(t, config, scales)
     return _solve_window(t, center, config, scales, count), center
@@ -249,7 +253,7 @@ class RabiResult:
 
     params: dynamics.RabiParameters
     trajectory: dynamics.RabiTrajectory
-    period: dynamics.RabiPeriod
+    period: float  # s, from dynamics.PeriodScan
     estimated_period: float  # 2*pi/|D01| (s)
 
 

@@ -99,8 +99,8 @@ def test_a5ii_norm_drift(oracle_results, rabi_result):
 
 
 def test_a5iii_rabi_period(rabi_result, rabi_result_heavy):
-    periods = {0.0067: rabi_result.period.period,
-               0.067: rabi_result_heavy.period.period}
+    periods = {0.0067: rabi_result.period,
+               0.067: rabi_result_heavy.period}
     within = {m: abs(p - RABI_PERIOD_TARGET) / RABI_PERIOD_TARGET <= 0.25
               for m, p in periods.items()}
     detail = ", ".join(f"mass {m}: {p * 1e9:.4f} ns"

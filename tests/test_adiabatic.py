@@ -113,7 +113,7 @@ def test_representative_time_is_deterministic():
     i1 = representative_time(times, centers, scales)
     i2 = representative_time(times, centers, scales)
     assert i1 == i2
-    assert times[i1] == pytest.approx(T_STAR, rel=1e-12)
+    assert times[i1] == pytest.approx(T_STAR, rel=1e-12, abs=0)
 
 
 def test_one_well_search_per_sample(monkeypatch):

@@ -30,8 +30,10 @@ def test_derive_writes_scales(tmp_path):
     out = tmp_path / "out"
     assert run(["derive", "--out", str(out)]) == 0
     doc = json.loads((out / "derived.json").read_text())
-    assert doc["T_period"] == pytest.approx(3.354579000335458e-10, rel=1e-12)
-    assert doc["thermal_energy"] == pytest.approx(3.726e-24, rel=1e-3)
+    assert doc["T_period"] == pytest.approx(3.354579000335458e-10,
+                                             rel=1e-12, abs=0)
+    assert doc["thermal_energy"] == pytest.approx(3.726e-24, rel=1e-3,
+                                                    abs=0)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "derive"
     assert manifest["config"]["gamma"] == 0.5
@@ -43,7 +45,7 @@ def test_derive_reads_config_file(tmp_path):
     out = tmp_path / "out"
     assert run(["derive", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "derived.json").read_text())
-    assert doc["T_period"] == pytest.approx(1e-9, rel=1e-12)
+    assert doc["T_period"] == pytest.approx(1e-9, rel=1e-12, abs=0)
 
 
 def test_invalid_config_exit_code(tmp_path, capsys):
@@ -272,11 +274,11 @@ def test_units_agreement(tmp_path):
     scales = json.loads((out_si / "manifest.json").read_text())[
         "derived_scales"]
     assert nat["c_xx"] * scales["natural_energy"] == pytest.approx(
-        si["c_xx"], rel=1e-12)
+        si["c_xx"], rel=1e-12, abs=0)
     assert nat["gate_time"] * scales["natural_time"] == pytest.approx(
-        si["gate_time"], rel=1e-12)
+        si["gate_time"], rel=1e-12, abs=0)
     assert nat["z_u01"] * scales["natural_length"] == pytest.approx(
-        si["z_u01"], rel=1e-12)
+        si["z_u01"], rel=1e-12, abs=0)
     # dimensionless entries identical in both modes
     assert nat["czz_over_cxx"] == si["czz_over_cxx"]
 
@@ -291,6 +293,28 @@ def test_csv_format(tmp_path):
     assert len(first) == 5
     # 17 significant digits, scientific notation
     assert "e" in first[0] and len(first[0].split("e")[0].rstrip("0")) >= 3
+
+
+def test_levels_bound_flag_marks_states_past_the_crests(tmp_path):
+    """The bound flag reads each state's weight between the crests that
+    flank the well: the top levels of the default dot spread past them,
+    and on the narrow device the ground state of the lambda-wide window
+    lies outside the dot at samples 3 and 4 (weight 0.011)."""
+    out = tmp_path / "default"
+    assert run(["levels", "--levels", "10", "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "levels.csv", delimiter=",",
+                      skiprows=1).reshape(8, 10, 5)
+    assert np.all(rows[:, :3, 3] == 1)
+    assert np.all(rows[:, 6:, 3] == 0)
+    assert np.all(rows[:, 6:, 4] < 0.95)
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({"gamma": 0.3625, "a_m": 4.083e-7}))
+    out = tmp_path / "narrow"
+    assert run(["levels", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "levels.csv", delimiter=",",
+                      skiprows=1).reshape(8, -1, 5)
+    np.testing.assert_array_equal(rows[:, 0, 3], [1, 1, 1, 0, 0, 1, 1, 1])
+    np.testing.assert_allclose(rows[3:5, 0, 4], 0.011, rtol=0, atol=1e-3)
 
 
 def _per_value_csv(header, rows) -> str:

@@ -130,8 +130,9 @@ def test_step_polynomial_matches_closed_form(case, request):
     monomials = np.array([cos_a**p * cos_b**q * cos_c**r for p in (0, 1)
                           for q in (0, 1, 2) for r in (0, 1)])
     entries = dynamics._step_polynomial(params, dt) @ monomials
-    poly = entries[:4] + 1j * entries[4:]
-    closed = np.array(dynamics._step_matrices(params, dt, cos_a, cos_b, cos_c))
+    poly = (entries[:4] + 1j * entries[4:]).T.reshape(-1, 2, 2)
+    closed = dynamics._step_matrices(params, dt, cos_a, cos_b, cos_c)
+    assert closed.shape == (50, 2, 2)
     assert np.abs(poly - closed).max() <= 1e-14
 
 
@@ -246,9 +247,7 @@ def _one_pass_period(times, p1, window):
     shift = 0.0 if denom == 0 else 0.5 * (y0 - y2) / denom
     center = (i + 1) * window - 1 - (window - 1) // 2
     dt = times[1] - times[0]
-    return dynamics.RabiPeriod(
-        period=2.0 * float(dt * (center + shift * window)),
-        method="double_first_peak_quadratic_smoothed")
+    return 2.0 * float(dt * (center + shift * window))
 
 
 def _outcome(extract, *args):
@@ -403,9 +402,8 @@ def test_extract_period_synthetic():
     times = np.linspace(0.0, 3.0 * math.pi / omega, 20001)
     for window in (1, 21):
         period = _fed(times, np.sin(omega * times / 2.0) ** 2, window)
-        assert period.period == pytest.approx(2.0 * math.pi / omega,
-                                              rel=PERIOD_RTOL)
-        assert period.method == "double_first_peak_quadratic_smoothed"
+        assert period == pytest.approx(2.0 * math.pi / omega,
+                                       rel=PERIOD_RTOL)
 
 
 def test_extract_period_flat_signal():
@@ -425,9 +423,9 @@ def test_extract_period_smoothing_rejects_micromotion():
     dt = times[1] - times[0]
     window = int(round(2.0 * math.pi / ripple_omega / dt))
     smooth = _fed(times, p1, window)
-    assert raw.period < 0.5 * (2.0 * math.pi / omega)  # fooled by the ripple
+    assert raw < 0.5 * (2.0 * math.pi / omega)  # fooled by the ripple
     # a window of whole ripple periods averages it out to a constant
-    assert smooth.period == pytest.approx(2.0 * math.pi / omega, rel=1e-3)
+    assert smooth == pytest.approx(2.0 * math.pi / omega, rel=1e-3)
 
 
 @pytest.mark.parametrize("n, window", [(10, 10), (11, 4), (100, 7),
@@ -462,7 +460,7 @@ def test_default_device_full_flip(rabi_result):
         assert traj.norm_drift <= NORM_DRIFT_TOL
         # as a ratio: approx's default abs of 1e-12 would pass any period
         # within 1e-12 s, 1% of these
-        assert result.period.period / result.estimated_period \
+        assert result.period / result.estimated_period \
             == pytest.approx(1.0, rel=1e-3)
 
 

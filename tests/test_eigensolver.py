@@ -20,8 +20,8 @@ DOT_MIN_OVERLAP_FLOOR = 0.9
 
 def test_grid_spacing():
     grid = build_grid(-2e-6, 2e-6, 4096)
-    assert grid.h == pytest.approx(4e-6 / 4095, rel=1e-12)
-    assert grid.h == pytest.approx(0.9768e-9, rel=1e-3)
+    assert grid.h == pytest.approx(4e-6 / 4095, rel=1e-12, abs=0)
+    assert grid.h == pytest.approx(0.9768e-9, rel=1e-3, abs=0)
 
 
 def test_grid_three_points():
@@ -133,32 +133,45 @@ def test_matrix_is_the_per_pair_quadrature():
             assert m[i, j] == np.sum(psi[i] * f * psi[j]) * grid.h
 
 
+def _crest_well_levels(count):
+    """The lowest levels of z^2 exp(-z^2/9), a well harmonic near z = 0
+    whose crests (height 9/e) sit on the grid samples z = -3 and 3, and
+    the potential on the grid."""
+    grid = build_grid(-6.0, 6.0, 2049)
+    v = grid.points ** 2 * np.exp(-grid.points ** 2 / 9.0)
+    levels = solve_lowest(build_hamiltonian(grid, lambda z: v), count,
+                          grid=grid)
+    return levels, v
+
+
 def test_bound_fractions_harmonic_ground():
-    grid = build_grid(-10.0, 10.0, 2048)
-    H = build_hamiltonian(grid, lambda z: z ** 2)
-    levels = solve_lowest(H, 1, grid=grid)
-    # sigma = sqrt(hbar/(2 m omega0)) = sqrt(1/2); window +/- 5 sigma
-    (frac,) = bound_fractions(levels, 0.0, 10.0 * math.sqrt(0.5))
-    assert frac >= BOUND_FRACTION
-    assert frac > 0.9999
-    assert frac == pytest.approx(0.9999994323877395, rel=1e-12)
+    """The ground state's weight on the samples from crest to crest, for
+    any center inside the well."""
+    levels, v = _crest_well_levels(1)
+    z = levels.grid.points
+    inside = np.sum(levels.states[0, np.abs(z) <= 3.0] ** 2) * levels.grid.h
+    assert BOUND_FRACTION < inside < 0.9999
+    for center in (-2.0, 0.0, 1e-9, 2.5):
+        (frac,) = bound_fractions(levels, v, center)
+        assert frac == pytest.approx(inside, rel=1e-14, abs=0)
 
 
 def test_bound_fractions_delocalized_state():
-    grid = build_grid(0.0, 1.0, 512)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z)
-    levels = solve_lowest(H, 1, grid=grid)
-    (frac,) = bound_fractions(levels, 0.5, 0.1)
-    assert frac < BOUND_FRACTION
-    assert frac == pytest.approx(0.20102513983309728, rel=1e-12)
+    """Levels 2 and 3 live mostly beyond the crests, where the potential
+    falls below their energies: they are not bound."""
+    levels, v = _crest_well_levels(4)
+    frac = bound_fractions(levels, v, 0.0)
+    assert frac[0] >= BOUND_FRACTION
+    assert np.all(frac[2:] < 0.2)
 
 
 def test_bound_fractions_window_outside_grid():
-    grid = build_grid(0.0, 1.0, 64)
-    H = build_hamiltonian(grid, lambda z: 0.0 * z)
-    levels = solve_lowest(H, 1, grid=grid)
-    with pytest.raises(ValueError):
-        bound_fractions(levels, 5.0, 0.5)
+    """A well center on or beyond the grid's ends has no crest on one
+    side."""
+    levels, v = _crest_well_levels(1)
+    for center in (-6.0, 6.0, 7.0):
+        with pytest.raises(ValueError, match="outside the grid"):
+            bound_fractions(levels, v, center)
 
 
 def test_matrix_rejects_wrong_length_operator():

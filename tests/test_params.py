@@ -18,7 +18,8 @@ KBT_DEFAULT = 3.727752300000001e-24  # J at 0.27 K
 
 def test_default_period():
     scales = derive_scales(DeviceConfig())
-    assert scales.T_period == pytest.approx(T_PERIOD_DEFAULT, rel=REL_TOL)
+    assert scales.T_period == pytest.approx(T_PERIOD_DEFAULT, rel=REL_TOL,
+                                             abs=0)
     # within 2% of the published 0.34 ns transit time
     assert abs(scales.T_period - 0.34e-9) / 0.34e-9 < 0.02
 
@@ -31,10 +32,10 @@ def test_period_frequency_consistency():
 
 def test_barrier_height_formula():
     scales = derive_scales(DeviceConfig())
-    assert scales.V0 == pytest.approx(V0_DEFAULT, rel=REL_TOL)
+    assert scales.V0 == pytest.approx(V0_DEFAULT, rel=REL_TOL, abs=0)
     hand = CONSTANTS.hbar**2 / (2.0 * 0.0067 * CONSTANTS.electron_mass
                                 * (20e-9) ** 2)
-    assert scales.V0 == pytest.approx(hand, rel=REL_TOL)
+    assert scales.V0 == pytest.approx(hand, rel=REL_TOL, abs=0)
 
 
 def test_zero_gamma_switches_saw_off():
@@ -45,16 +46,16 @@ def test_zero_gamma_switches_saw_off():
 def test_natural_units_consistent():
     scales = derive_scales(DeviceConfig())
     assert scales.natural_energy * scales.natural_time == pytest.approx(
-        CONSTANTS.hbar, rel=REL_TOL)
+        CONSTANTS.hbar, rel=REL_TOL, abs=0)
 
 
 def test_conversions_round_trip():
     scales = derive_scales(DeviceConfig())
     for value in (1.0, 3.7e-24, -2.5e-7):
         assert scales.energy_to_si(value / scales.natural_energy) == \
-            pytest.approx(value, rel=REL_TOL)
+            pytest.approx(value, rel=REL_TOL, abs=0)
         assert scales.time_to_natural(value) * scales.natural_time == \
-            pytest.approx(value, rel=REL_TOL)
+            pytest.approx(value, rel=REL_TOL, abs=0)
 
 
 def test_derive_is_deterministic():
@@ -65,7 +66,7 @@ def test_derive_is_deterministic():
 
 def test_l0_defaults_to_fraction_of_a():
     config = DeviceConfig(a=0.5e-6)
-    assert config.l0 == pytest.approx(20e-9, rel=REL_TOL)
+    assert config.l0 == pytest.approx(20e-9, rel=REL_TOL, abs=0)
     explicit = DeviceConfig(a=0.5e-6, l0=30e-9)
     assert explicit.l0 == 30e-9
 
@@ -95,9 +96,10 @@ def test_saw_velocity_upper_bound():
 
 def test_thermal_check():
     check = thermal_ratio(DeviceConfig(), 8.3667e-23)
-    assert check.thermal_energy == pytest.approx(KBT_DEFAULT, rel=REL_TOL)
+    assert check.thermal_energy == pytest.approx(KBT_DEFAULT, rel=REL_TOL,
+                                                  abs=0)
     # published value 3.726e-24 J agrees to 0.1%
-    assert check.thermal_energy == pytest.approx(3.726e-24, rel=1e-3)
+    assert check.thermal_energy == pytest.approx(3.726e-24, rel=1e-3, abs=0)
     assert check.ratio == pytest.approx(KBT_DEFAULT / 8.3667e-23, rel=REL_TOL)
 
 

@@ -80,7 +80,8 @@ def test_profile_builds_no_level_trajectory():
     """The period profile is plain arrays: no trajectory type, no
     sign-alignment pass, and the solved levels travel as one
     ``eigensolver.Levels`` record, with no per-level pair type, no
-    free-standing matrix element and no per-level bound classifier."""
+    free-standing matrix element and no per-level bound classifier; the
+    Rabi chain has no 4-tuple matrix algebra and no period record."""
     for name in ("DotTrajectory", "aligned_trajectory",
                  "mirrored_trajectory", "EigenPair"):
         assert not hasattr(pipeline, name)
@@ -88,6 +89,9 @@ def test_profile_builds_no_level_trajectory():
     for name in ("EigenPair", "matrix_element", "classify_bound",
                  "BoundClassification"):
         assert not hasattr(eigensolver, name)
+    # the RK4 step is built by matrix products and the period is a float
+    for name in ("_matmul", "RabiPeriod"):
+        assert not hasattr(dynamics, name)
     package = pathlib.Path(pipeline.__file__).parent
     for path in package.glob("*.py"):
         text = path.read_text()

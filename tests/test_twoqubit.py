@@ -49,7 +49,7 @@ def test_reference_coupling_ratio():
     assert ratio < 1e-2  # the weak-dispersive conclusion
     # formula substitution reproduces the expected value to 1%
     assert ratio == pytest.approx(5.1e-3, rel=1e-2)
-    assert coeffs.c_xx == pytest.approx(C_XX_REFERENCE, rel=1e-9)
+    assert coeffs.c_xx == pytest.approx(C_XX_REFERENCE, rel=1e-9, abs=0)
 
 
 def test_identical_dots_cancel_single_qubit_terms():
@@ -77,7 +77,7 @@ def test_inverse_cube_distance_scaling():
     for name in ("cu_z", "cl_z", "cu_x", "cl_x", "c_zz", "c_xx",
                  "c_zx", "c_xz"):
         assert getattr(b, name) == pytest.approx(getattr(a, name) / 8.0,
-                                                 rel=SCALE_TOL)
+                                                 rel=SCALE_TOL, abs=0)
 
 
 def test_dot_swap_symmetry():
@@ -138,9 +138,9 @@ def test_iswap_point_mapping():
 def test_gate_time_inverse_proportionality():
     a = gate_time_for_iswap(_synthetic_coeffs(c_xx=1e-25, lam=4e-23))
     b = gate_time_for_iswap(_synthetic_coeffs(c_xx=2e-25, lam=4e-23))
-    assert a == pytest.approx(2.0 * b, rel=1e-12)
+    assert a == pytest.approx(2.0 * b, rel=1e-12, abs=0)
     assert gate_time_for_iswap(_reference_coeffs()) == pytest.approx(
-        GATE_TIME_REFERENCE, rel=1e-9)
+        GATE_TIME_REFERENCE, rel=1e-9, abs=0)
     with pytest.raises(NoExchangeCouplingError):
         gate_time_for_iswap(_synthetic_coeffs(c_xx=0.0, lam=4e-23))
 
