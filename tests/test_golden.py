@@ -30,6 +30,9 @@ RUNS = {
     "rabi": ["rabi"],
     "twoqubit": ["twoqubit"],
     "twoqubit_fixture": ["twoqubit", "--fixture-paper-z"],
+    "twoqubit_natural": ["twoqubit", "--units", "natural"],
+    "twoqubit_fixture_natural": ["twoqubit", "--fixture-paper-z",
+                                 "--units", "natural"],
 }
 
 
