@@ -23,6 +23,7 @@ import numpy as np
 
 from . import (__version__, adiabatic, dynamics, oracles, pipeline, potential,
                twoqubit)
+from .constants import CONSTANTS
 from .eigensolver import BOUND_FRACTION, SolverError, bound_fractions
 from .params import ConfigError, DeviceConfig, derive_scales, load_config, \
     thermal_ratio
@@ -267,12 +268,15 @@ def cmd_twoqubit(args, config: DeviceConfig, run: _Run) -> int:
         raise ConfigError("--d", "must be finite and > 0")
     duration = _positive_ns("--duration", args.duration)
     if args.fixture_paper_z:
-        coeffs = pipeline.twoqubit_coefficients_from_reference(d)
         zu, zl = pipeline.REFERENCE_Z_UPPER, pipeline.REFERENCE_Z_LOWER
+        splitting = pipeline.REFERENCE_QUBIT_SPLITTING
     else:
-        coeffs, z = pipeline.twoqubit_coefficients_from_solution(
-            pipeline.solve_qubit(config), d)
-        zu = zl = z
+        sol = pipeline.solve_qubit(config)
+        zu = zl = (sol.levels.matrix(sol.levels.grid.points)
+                   * sol.scales.natural_length)
+        splitting = sol.splitting
+    coeffs = twoqubit.coulomb_pauli_coefficients(
+        zu, zl, d, omega=splitting / CONSTANTS.hbar)
     gate_time = twoqubit.gate_time_for_iswap(coeffs)
     t_max = duration if duration is not None else gate_time
     sweep_times = np.linspace(t_max / 32.0, t_max, 32)
@@ -282,10 +286,10 @@ def cmd_twoqubit(args, config: DeviceConfig, run: _Run) -> int:
     rwa_fid = float(fids[-1])
     summary = {
         "d_m": d,
-        "z_u00": run.val(zu.z00, "m"), "z_u11": run.val(zu.z11, "m"),
-        "z_u01": run.val(zu.z01, "m"),
-        "z_l00": run.val(zl.z00, "m"), "z_l11": run.val(zl.z11, "m"),
-        "z_l01": run.val(zl.z01, "m"),
+        "z_u00": run.val(zu[0, 0], "m"), "z_u11": run.val(zu[1, 1], "m"),
+        "z_u01": run.val(zu[0, 1], "m"),
+        "z_l00": run.val(zl[0, 0], "m"), "z_l11": run.val(zl[1, 1], "m"),
+        "z_l01": run.val(zl[0, 1], "m"),
         "cu_z": run.val(coeffs.cu_z, "J"), "cl_z": run.val(coeffs.cl_z, "J"),
         "cu_x": run.val(coeffs.cu_x, "J"), "cl_x": run.val(coeffs.cl_x, "J"),
         "c_zz": run.val(coeffs.c_zz, "J"), "c_xx": run.val(coeffs.c_xx, "J"),

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import adiabatic, dynamics, potential, twoqubit
+from . import adiabatic, dynamics, potential
 from .constants import CONSTANTS
 from .eigensolver import (Grid, Levels, build_grid, build_hamiltonian,
                           solve_lowest)
@@ -26,13 +26,13 @@ WEAK_DRIVE_RATIO = 0.1  # largest |D01|, |D11 - D00| over the drive frequency
 RABI_SPAN_PERIODS = 1.5  # default Rabi run, in estimated flip periods
 MAX_TRAJECTORY_ROWS = 4001  # rows a Rabi run keeps (rabi.csv)
 
-# Reference per-dot position matrix elements for a two-channel device
-# (upper/lower), in meters; used to exercise the coupling pipeline without
-# re-solving the spectra.
-REFERENCE_Z_UPPER = twoqubit.ZMatrixElements(
-    z00=-5.6186e-7, z11=-5.6975e-7, z01=-5.6431e-8)
-REFERENCE_Z_LOWER = twoqubit.ZMatrixElements(
-    z00=-5.3594e-7, z11=-5.4418e-7, z01=-5.6607e-8)
+# Reference position matrices <i|z|j> (m) of the upper and lower dot of a
+# two-channel device, indexed like ``Levels.matrix``; used to exercise the
+# coupling without solving the spectra.
+REFERENCE_Z_UPPER = np.array([[-5.6186e-7, -5.6431e-8],
+                              [-5.6431e-8, -5.6975e-7]])
+REFERENCE_Z_LOWER = np.array([[-5.3594e-7, -5.6607e-8],
+                              [-5.6607e-8, -5.4418e-7]])
 REFERENCE_QUBIT_SPLITTING = 8.3667e-23  # J, used with the reference elements
 
 
@@ -266,7 +266,8 @@ def simulate_rabi(sol: QubitSolution,
     MAX_TRAJECTORY_ROWS rows; the period is the first peak of p1 averaged
     over consecutive drive periods (``PeriodScan``), summed from every step
     as the run goes.  Warns (StrongDriveWarning) before integrating when
-    the drive is too strong for the estimate; raises NoOscillationError
+    the drive is too strong for the estimate; raises StepSizeError when the
+    run needs more than dynamics.MAX_STEPS steps, and NoOscillationError
     when one drive period, the smoothing window, spans more samples than
     the run, or when the means never rise and turn over.
     """
@@ -282,8 +283,15 @@ def simulate_rabi(sol: QubitSolution,
     if duration is None:
         duration = RABI_SPAN_PERIODS * estimated
     dt = dynamics.suggested_step(params)
-    n_steps, dt_actual = dynamics.step_grid((0.0, duration), dt)
     drive_period = 2.0 * np.pi / params.omega_drive
+    try:
+        n_steps, dt_actual = dynamics.step_grid((0.0, duration), dt)
+    except dynamics.StepSizeError:
+        raise dynamics.StepSizeError(
+            f"a {duration:.3e} s run at dt={dt:.3e} s would pass the cap of "
+            f"{dynamics.MAX_STEPS:.0e} RK4 steps; the estimated Rabi period "
+            f"2*pi/|D01| is {estimated:.3e} s, "
+            f"{estimated / drive_period:.3e} drive periods") from None
     # compared in seconds: in samples, a subnormal step overflows to inf
     if not drive_period <= (n_steps + 1) * dt_actual:
         raise dynamics.NoOscillationError(
@@ -295,30 +303,3 @@ def simulate_rabi(sol: QubitSolution,
                                    on_chunk=scan)
     return RabiResult(params=params, trajectory=traj, period=scan.period(),
                       estimated_period=estimated)
-
-
-def twoqubit_coefficients_from_reference(
-        d: float) -> twoqubit.PauliCoefficients:
-    """Coupling coefficients from the built-in reference matrix elements.
-
-    Both channels get the reference qubit splitting as their transition
-    frequency.
-    """
-    omega = REFERENCE_QUBIT_SPLITTING / CONSTANTS.hbar
-    return twoqubit.coulomb_pauli_coefficients(
-        REFERENCE_Z_UPPER, REFERENCE_Z_LOWER, d, omega_u=omega, omega_l=omega)
-
-
-def twoqubit_coefficients_from_solution(
-        sol: QubitSolution, d: float) -> tuple[twoqubit.PauliCoefficients,
-                                               twoqubit.ZMatrixElements]:
-    """Coupling coefficients with both channels modeled by the solved dot."""
-    zn = twoqubit.dot_matrix_elements(sol.levels)
-    z = twoqubit.ZMatrixElements(
-        z00=zn.z00 * sol.scales.natural_length,
-        z11=zn.z11 * sol.scales.natural_length,
-        z01=zn.z01 * sol.scales.natural_length)
-    omega = sol.splitting / CONSTANTS.hbar
-    coeffs = twoqubit.coulomb_pauli_coefficients(
-        z, z, d, omega_u=omega, omega_l=omega)
-    return coeffs, z

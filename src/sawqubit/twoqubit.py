@@ -1,10 +1,10 @@
-"""Coulomb-coupled two-dot gate construction.
+"""Coulomb-coupled two-dot gate construction, in plain 2x2 and 4x4 algebra.
 
-Pipeline: per-dot position matrix elements -> Pauli decomposition of the
-quadratic inter-channel Coulomb coupling -> rotating-wave closed-form
-iSWAP propagator, compared by gate fidelity with the exact
-interaction-picture propagator of the full coupling (counter-rotating
-terms included).
+Pipeline: each dot's 2x2 position matrix <i|z|j> (m) -> Pauli
+decomposition of the quadratic inter-channel Coulomb coupling ->
+rotating-wave closed-form iSWAP propagator, compared by gate fidelity with
+the exact interaction-picture propagator of the full coupling
+(counter-rotating terms included).
 
 Basis ordering everywhere: |11>, |10>, |01>, |00> (upper qubit first).
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS
-from .eigensolver import Levels
 
 # Single-qubit operators in the (|1>, |0>) basis.
 _SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
@@ -56,22 +55,6 @@ EXPANSION_GUARD = 0.3
 
 
 @dataclass(frozen=True)
-class ZMatrixElements:
-    """Per-dot position matrix elements in the two-level subspace (m)."""
-
-    z00: float
-    z11: float
-    z01: float
-
-
-def dot_matrix_elements(levels: Levels) -> ZMatrixElements:
-    """<0|z|0>, <1|z|1>, <0|z|1> in the length unit of the levels' grid."""
-    z = levels.matrix(levels.grid.points)
-    return ZMatrixElements(z00=float(z[0, 0]), z11=float(z[1, 1]),
-                           z01=float(z[0, 1]))
-
-
-@dataclass(frozen=True)
 class PauliCoefficients:
     """The eight Coulomb-coupling coefficients (J) and effective frequencies."""
 
@@ -83,17 +66,17 @@ class PauliCoefficients:
     c_xx: float
     c_zx: float
     c_xz: float
-    lambda_u: float  # hbar*omega_u/2 + C_u^z (J)
+    lambda_u: float  # hbar*omega/2 + C_u^z (J)
     lambda_l: float
 
 
-def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
-                               d: float, omega_u: float = 0.0,
-                               omega_l: float = 0.0) -> PauliCoefficients:
+def coulomb_pauli_coefficients(zu, zl, d: float,
+                               omega: float = 0.0) -> PauliCoefficients:
     """Pauli decomposition of the quadratic inter-channel Coulomb coupling.
 
-    ``omega_u``/``omega_l`` are the qubit transition frequencies (rad/s)
-    entering the interaction-picture frequencies lambda_j.
+    ``zu`` and ``zl`` are the upper and lower dot's symmetric 2x2 position
+    matrices <i|z|j> (m); ``omega``, the qubit transition frequency (rad/s)
+    of both dots, enters the interaction-picture frequencies lambda_j.
     """
     if not (d > 0):
         raise ValueError("channel separation d must be positive")
@@ -103,31 +86,31 @@ def coulomb_pauli_coefficients(zu: ZMatrixElements, zl: ZMatrixElements,
     except (OverflowError, ZeroDivisionError):
         raise NoExchangeCouplingError(
             f"d={d:.3e} m: 4 pi eps0 d**3 leaves the float range") from None
+    (u00, u01), (_, u11) = np.asarray(zu, dtype=float).tolist()
+    (l00, l01), (_, l11) = np.asarray(zl, dtype=float).tolist()
     # The expansion variable is the relative displacement z_l - z_u.
-    span = max(abs(l - u) for l in (zl.z00, zl.z11) for u in (zu.z00, zu.z11))
+    span = max(abs(l - u) for l in (l00, l11) for u in (u00, u11))
     if span > EXPANSION_GUARD * d:
         warnings.warn(
             f"relative dot displacement (~{span:.3e} m) approaches the "
             f"channel separation d={d:.3e} m; quadratic Coulomb expansion "
             "degrades", QuadraticExpansionWarning, stacklevel=2)
-    su = zu.z00 + zu.z11
-    sl = zl.z00 + zl.z11
-    du = zu.z11 - zu.z00
-    dl = zl.z11 - zl.z00
+    su, sl = u00 + u11, l00 + l11
+    du, dl = u11 - u00, l11 - l00
     cu_z = (q / 4.0) * (su - sl) * du
     cl_z = (q / 4.0) * (sl - su) * dl
-    cu_x = (q / 2.0) * (su - sl) * zu.z01
-    cl_x = (q / 2.0) * (sl - su) * zl.z01
+    cu_x = (q / 2.0) * (su - sl) * u01
+    cl_x = (q / 2.0) * (sl - su) * l01
     c_zz = -(q / 4.0) * du * dl
-    c_xx = -q * zu.z01 * zl.z01
-    c_zx = -(q / 2.0) * du * zl.z01
-    c_xz = -(q / 2.0) * dl * zu.z01
+    c_xx = -q * u01 * l01
+    c_zx = -(q / 2.0) * du * l01
+    c_xz = -(q / 2.0) * dl * u01
     hbar = CONSTANTS.hbar
     return PauliCoefficients(
         cu_z=cu_z, cl_z=cl_z, cu_x=cu_x, cl_x=cl_x,
         c_zz=c_zz, c_xx=c_xx, c_zx=c_zx, c_xz=c_xz,
-        lambda_u=hbar * omega_u / 2.0 + cu_z,
-        lambda_l=hbar * omega_l / 2.0 + cl_z,
+        lambda_u=hbar * omega / 2.0 + cu_z,
+        lambda_l=hbar * omega / 2.0 + cl_z,
     )
 
 

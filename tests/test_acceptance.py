@@ -15,9 +15,11 @@ import pytest
 
 import conftest
 from sawqubit import cli, pipeline
+from sawqubit.constants import CONSTANTS
 from sawqubit.params import DeviceConfig, derive_scales
-from sawqubit.twoqubit import (PauliCoefficients, gate_time_for_iswap,
-                               iswap_propagator, rwa_fidelity)
+from sawqubit.twoqubit import (PauliCoefficients, coulomb_pauli_coefficients,
+                               gate_time_for_iswap, iswap_propagator,
+                               rwa_fidelity)
 
 TRANSIT_TIME_TARGET = 0.34e-9  # s
 SPLITTING_TARGET = 8.3667e-23  # J
@@ -112,7 +114,9 @@ def test_a5iii_rabi_period(rabi_result, rabi_result_heavy):
 @pytest.mark.filterwarnings(
     "error::sawqubit.twoqubit.QuadraticExpansionWarning")
 def test_a6_coupling_ratio(tmp_path):
-    coeffs = pipeline.twoqubit_coefficients_from_reference(1e-6)
+    coeffs = coulomb_pauli_coefficients(
+        pipeline.REFERENCE_Z_UPPER, pipeline.REFERENCE_Z_LOWER, 1e-6,
+        omega=pipeline.REFERENCE_QUBIT_SPLITTING / CONSTANTS.hbar)
     ratio = abs(coeffs.c_zz / coeffs.c_xx)
     out = tmp_path / "out"
     assert cli.main(["twoqubit", "--fixture-paper-z",

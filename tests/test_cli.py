@@ -6,13 +6,14 @@ import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sawqubit import cli, pipeline
+from sawqubit import cli, dynamics, pipeline
 from sawqubit.params import CONFIG_FILE_KEYS
 
 DATA_FILES_DERIVE = ["derived.json"]
@@ -118,6 +119,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
             (["rabi"], {"drive_ratio": 1e300}, "not finite"),
             # a 1 s span needs more than the 1e8 RK4 steps allowed
             (["rabi", "--duration", "1e9"], {}, "steps"),
+            # a >> lambda flattens sech^2(z/a) across the dot: D01 ~ 0, and
+            # 1.5 Rabi periods need more than the 1e8 RK4 steps allowed
+            (["rabi"], {"a_m": 4.1e-6, "l0_m": 1.7e-5}, "Rabi period"),
             # the exchange coupling underflows to zero at this separation
             (["twoqubit", "--fixture-paper-z", "--d", "1e100"], {},
              "c_xx is zero"),
@@ -445,36 +449,50 @@ CONTRACT_COMMANDS = {
     "adiabaticity": ["adiabaticity"],
     # one dot-window solve at t*, ~10 ms for a valid config
     "twoqubit-solved": ["twoqubit"],
-    # rabi stays out for its run time: a random config can ask for up to
-    # dynamics.MAX_STEPS = 1e8 RK4 steps at ~0.15 us a step (~15 s); its
-    # memory follows the 4001 rows it keeps, not the step count
+    # at most CONTRACT_MAX_STEPS RK4 steps after the t* solve
+    "rabi": ["rabi"],
 }
+# dynamics.MAX_STEPS within the contract test: a rabi run takes at most
+# ~0.15 s instead of the ~15 s of the 1e8-step cap
+CONTRACT_MAX_STEPS = 1e6
+DURATION_COMMANDS = ("rabi", "twoqubit-solved")
 
 
 @settings(max_examples=100, deadline=None)
 @given(config=FLAT_CONFIGS,
        d=st.one_of(st.none(), st.sampled_from(EXTREME_NUMBERS), st.floats()),
-       command=st.sampled_from(sorted(CONTRACT_COMMANDS)))
-@example(config={"l0_m": 1e300}, d=None, command="derive")
-@example(config={"a_m": 1e-300}, d=None, command="derive")
+       command=st.sampled_from(sorted(CONTRACT_COMMANDS)),
+       units=st.sampled_from(["si", "natural"]),
+       duration=st.one_of(st.none(), st.sampled_from(EXTREME_NUMBERS),
+                          st.floats()))
+@example(config={"l0_m": 1e300}, d=None, command="derive", units="si",
+         duration=None)
+@example(config={"a_m": 1e-300}, d=None, command="derive", units="si",
+         duration=None)
 @example(config={"a_m": 1e100, "l0_m": 1e-54, "gamma": 1.0}, d=None,
-         command="levels")
+         command="levels", units="si", duration=None)
 @example(config={"a_m": 1e100, "saw_wavelength_m": 1e-60}, d=None,
-         command="levels")
+         command="levels", units="si", duration=None)
 # beta's (E1 - E0)**2 leaves the float range for these
-@example(config={"gamma": 1e200}, d=None, command="adiabaticity")
+@example(config={"gamma": 1e200}, d=None, command="adiabaticity",
+         units="si", duration=None)
 @example(config={"gamma": 1.245e234, "a_m": 0.181}, d=None,
-         command="adiabaticity")
-def test_exit_code_contract(tmp_path_factory, config, d, command):
+         command="adiabaticity", units="si", duration=None)
+def test_exit_code_contract(tmp_path_factory, config, d, command, units,
+                            duration):
     """Any flat JSON config exits in {0, 2, 3, 4} without raising from
     ``derive``, ``twoqubit`` with the fixture or the solved dot (with an
-    optional --d), ``levels`` at one time with two levels and
-    ``adiabaticity``."""
+    optional --d), ``levels`` at one time with two levels,
+    ``adiabaticity`` and ``rabi``, in either --units mode, with an
+    optional --duration for ``rabi`` and the solved ``twoqubit``."""
     tmp = tmp_path_factory.mktemp("contract")
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(config))
-    args = list(CONTRACT_COMMANDS[command])
+    args = list(CONTRACT_COMMANDS[command]) + ["--units", units]
     if command.startswith("twoqubit") and d is not None:
         args.append(f"--d={d!r}")
-    assert run(args + ["--config", str(cfg), "--out", str(tmp / "out")]) in \
-        (0, 2, 3, 4)
+    if command in DURATION_COMMANDS and duration is not None:
+        args.append(f"--duration={duration!r}")
+    with mock.patch.object(dynamics, "MAX_STEPS", CONTRACT_MAX_STEPS):
+        code = run(args + ["--config", str(cfg), "--out", str(tmp / "out")])
+    assert code in (0, 2, 3, 4)

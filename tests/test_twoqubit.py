@@ -7,9 +7,8 @@ from sawqubit import pipeline
 from sawqubit.constants import CONSTANTS
 from sawqubit.oracles import interaction_hamiltonian, time_ordered_propagator
 from sawqubit.twoqubit import (NoExchangeCouplingError, PauliCoefficients,
-                               QuadraticExpansionWarning, ZMatrixElements,
-                               coulomb_pauli_coefficients,
-                               dot_matrix_elements, gate_fidelity,
+                               QuadraticExpansionWarning,
+                               coulomb_pauli_coefficients, gate_fidelity,
                                gate_time_for_iswap, interaction_propagator,
                                iswap_propagator, rwa_fidelity)
 
@@ -29,7 +28,9 @@ pytestmark = pytest.mark.filterwarnings(
 
 
 def _reference_coeffs(d=1e-6):
-    return pipeline.twoqubit_coefficients_from_reference(d)
+    return coulomb_pauli_coefficients(
+        pipeline.REFERENCE_Z_UPPER, pipeline.REFERENCE_Z_LOWER, d,
+        omega=pipeline.REFERENCE_QUBIT_SPLITTING / CONSTANTS.hbar)
 
 
 def _synthetic_coeffs(c_xx, lam):
@@ -53,7 +54,7 @@ def test_reference_coupling_ratio():
 
 
 def test_identical_dots_cancel_single_qubit_terms():
-    z = ZMatrixElements(z00=-1e-8, z11=-2e-8, z01=-5e-9)
+    z = np.array([[-1e-8, -5e-9], [-5e-9, -2e-8]])
     coeffs = coulomb_pauli_coefficients(z, z, 1e-6)
     assert coeffs.cu_z == coeffs.cl_z == 0.0
     assert coeffs.cu_x == coeffs.cl_x == 0.0
@@ -61,17 +62,17 @@ def test_identical_dots_cancel_single_qubit_terms():
 
 
 def test_vanishing_transition_element():
-    zu = ZMatrixElements(z00=-1e-8, z11=-2e-8, z01=0.0)
-    zl = ZMatrixElements(z00=-3e-8, z11=-1e-8, z01=-4e-9)
+    zu = np.array([[-1e-8, 0.0], [0.0, -2e-8]])
+    zl = np.array([[-3e-8, -4e-9], [-4e-9, -1e-8]])
     coeffs = coulomb_pauli_coefficients(zu, zl, 1e-6)
     assert coeffs.c_xx == 0.0
-    assert coeffs.c_xz == 0.0  # carries zu.z01
+    assert coeffs.c_xz == 0.0  # carries zu[0, 1]
     assert coeffs.c_zx != 0.0
 
 
 def test_inverse_cube_distance_scaling():
-    zu = ZMatrixElements(z00=-1e-8, z11=-2e-8, z01=-5e-9)
-    zl = ZMatrixElements(z00=-3e-8, z11=-1e-8, z01=-4e-9)
+    zu = np.array([[-1e-8, -5e-9], [-5e-9, -2e-8]])
+    zl = np.array([[-3e-8, -4e-9], [-4e-9, -1e-8]])
     a = coulomb_pauli_coefficients(zu, zl, 1e-6)
     b = coulomb_pauli_coefficients(zu, zl, 2e-6)
     for name in ("cu_z", "cl_z", "cu_x", "cl_x", "c_zz", "c_xx",
@@ -81,8 +82,8 @@ def test_inverse_cube_distance_scaling():
 
 
 def test_dot_swap_symmetry():
-    zu = ZMatrixElements(z00=-1e-8, z11=-2e-8, z01=-5e-9)
-    zl = ZMatrixElements(z00=-3e-8, z11=-1e-8, z01=-4e-9)
+    zu = np.array([[-1e-8, -5e-9], [-5e-9, -2e-8]])
+    zl = np.array([[-3e-8, -4e-9], [-4e-9, -1e-8]])
     ab = coulomb_pauli_coefficients(zu, zl, 1e-6)
     ba = coulomb_pauli_coefficients(zl, zu, 1e-6)
     assert ab.cu_z == ba.cl_z and ab.cl_z == ba.cu_z
@@ -93,17 +94,20 @@ def test_dot_swap_symmetry():
 
 
 def test_expansion_guard_warns_on_wide_dots(qubit_solution):
-    zu = ZMatrixElements(z00=-4e-7, z11=-4.1e-7, z01=-5e-8)
-    zl = ZMatrixElements(z00=4e-7, z11=4.1e-7, z01=-5e-8)
+    zu = np.array([[-4e-7, -5e-8], [-5e-8, -4.1e-7]])
+    zl = np.array([[4e-7, -5e-8], [-5e-8, 4.1e-7]])
     with pytest.warns(QuadraticExpansionWarning):
         coulomb_pauli_coefficients(zu, zl, 1e-6)
     # far from the channel center, but no relative displacement
     coulomb_pauli_coefficients(zu, zu, 1e-6)
-    pipeline.twoqubit_coefficients_from_solution(qubit_solution, 1e-6)
+    sol = qubit_solution
+    z = sol.levels.matrix(sol.levels.grid.points) * sol.scales.natural_length
+    coulomb_pauli_coefficients(z, z, 1e-6,
+                               omega=sol.splitting / CONSTANTS.hbar)
 
 
 def test_rejects_nonpositive_separation():
-    z = ZMatrixElements(z00=0.0, z11=0.0, z01=1e-9)
+    z = np.array([[0.0, 1e-9], [1e-9, 0.0]])
     with pytest.raises(ValueError):
         coulomb_pauli_coefficients(z, z, 0.0)
 
@@ -241,8 +245,8 @@ def test_pauli_decomposition_completeness():
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
     eye = np.eye(2)
 
-    zu = ZMatrixElements(z00=-1.1e-8, z11=-2.3e-8, z01=-6e-9)
-    zl = ZMatrixElements(z00=-0.7e-8, z11=-1.9e-8, z01=-4e-9)
+    zu = np.array([[-1.1e-8, -6e-9], [-6e-9, -2.3e-8]])
+    zl = np.array([[-0.7e-8, -4e-9], [-4e-9, -1.9e-8]])
     d = 1e-6
     coeffs = coulomb_pauli_coefficients(zu, zl, d)
 
@@ -253,9 +257,8 @@ def test_pauli_decomposition_completeness():
 
     q = CONSTANTS.elementary_charge**2 / (
         4.0 * math.pi * CONSTANTS.vacuum_permittivity * d**3)
-    z_u = np.array([[zu.z11, zu.z01], [zu.z01, zu.z00]])
-    z_l = np.array([[zl.z11, zl.z01], [zl.z01, zl.z00]])
-    rel = np.kron(z_u, eye) - np.kron(eye, z_l)
+    # levels (0, 1) reversed into the (|1>, |0>) basis
+    rel = np.kron(zu[::-1, ::-1], eye) - np.kron(eye, zl[::-1, ::-1])
     direct = 0.5 * q * rel @ rel
 
     diff = direct - recon
@@ -268,5 +271,5 @@ def test_solution_matrix_elements_are_negative(qubit_solution):
     """The dot sits left of the barrier at t*, so all position elements
     share the well's sign, as with the reference fixture values."""
     sol = qubit_solution
-    z = dot_matrix_elements(sol.levels)
-    assert z.z00 < 0 and z.z11 < 0
+    z = sol.levels.matrix(sol.levels.grid.points)
+    assert z[0, 0] < 0 and z[1, 1] < 0
