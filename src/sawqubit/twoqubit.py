@@ -70,7 +70,7 @@ class PauliCoefficients:
     lambda_l: float
 
 
-def coulomb_pauli_coefficients(zu, zl, d: float,
+def coulomb_pauli_coefficients(zu: np.ndarray, zl: np.ndarray, d: float,
                                omega: float = 0.0) -> PauliCoefficients:
     """Pauli decomposition of the quadratic inter-channel Coulomb coupling.
 
