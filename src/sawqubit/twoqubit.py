@@ -95,8 +95,10 @@ def coulomb_pauli_coefficients(zu: np.ndarray, zl: np.ndarray, d: float,
             f"relative dot displacement (~{span:.3e} m) approaches the "
             f"channel separation d={d:.3e} m; quadratic Coulomb expansion "
             "degrades", QuadraticExpansionWarning, stacklevel=2)
-    su, sl = u00 + u11, l00 + l11
-    du, dl = u11 - u00, l11 - l00
+    su = u00 + u11
+    sl = l00 + l11
+    du = u11 - u00
+    dl = l11 - l00
     cu_z = (q / 4.0) * (su - sl) * du
     cl_z = (q / 4.0) * (sl - su) * dl
     cu_x = (q / 2.0) * (su - sl) * u01
