@@ -7,8 +7,9 @@ digests were taken with the numpy and scipy versions the table names;
 another numpy, scipy or LAPACK build may move a last digit.
 
 A change that moves numbers on purpose refreshes the table by running this
-file as a script (``PYTHONPATH=src python tests/test_golden.py``) and
-lists the changed files in CHANGES.md.
+file as a script (``PYTHONPATH=src python tests/test_golden.py``), which
+prints the keys whose exit code or digest changed, and lists them in
+CHANGES.md.
 """
 import hashlib
 import json
@@ -79,7 +80,15 @@ def test_data_files_match_golden_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    import contextlib
+    import io
     import tempfile
-    with tempfile.TemporaryDirectory() as tmp:
+    golden = json.loads(TABLE.read_text())
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(io.StringIO()):
         table = data_digests(pathlib.Path(tmp))
+    for field in ("exit_codes", "files"):
+        for key in sorted(golden[field].keys() | table[field].keys()):
+            if golden[field].get(key) != table[field].get(key):
+                print(f"changed {field}: {key}")
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
