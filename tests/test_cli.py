@@ -443,8 +443,9 @@ FLAT_CONFIGS = st.dictionaries(
 CONTRACT_COMMANDS = {
     "derive": ["derive"],
     "twoqubit": ["twoqubit", "--fixture-paper-z"],
-    # one dot-window solve, a few ms for a valid config
-    "levels": ["levels", "--times", "0.05", "--levels", "2"],
+    # one dot-window solve per drawn time, a few ms each for a valid
+    # config and a few levels
+    "levels": ["levels"],
     # 32 dot-window solves and the beta sweep, ~40 ms for a valid config
     "adiabaticity": ["adiabaticity"],
     # one dot-window solve at t*, ~10 ms for a valid config
@@ -453,9 +454,12 @@ CONTRACT_COMMANDS = {
     "rabi": ["rabi"],
 }
 # dynamics.MAX_STEPS within the contract test: a rabi run takes at most
-# ~0.15 s instead of the ~15 s of the 1e8-step cap
+# ~0.1 s instead of the ~10 s of the 1e8-step cap
 CONTRACT_MAX_STEPS = 1e6
 DURATION_COMMANDS = ("rabi", "twoqubit-solved")
+# around both ends of the 1..DOT_WINDOW_POINTS range
+CONTRACT_LEVELS = (-1, 0, 1, 2, pipeline.DOT_WINDOW_POINTS,
+                   pipeline.DOT_WINDOW_POINTS + 1)
 
 
 @settings(max_examples=100, deadline=None)
@@ -464,27 +468,35 @@ DURATION_COMMANDS = ("rabi", "twoqubit-solved")
        command=st.sampled_from(sorted(CONTRACT_COMMANDS)),
        units=st.sampled_from(["si", "natural"]),
        duration=st.one_of(st.none(), st.sampled_from(EXTREME_NUMBERS),
-                          st.floats()))
+                          st.floats()),
+       times=st.lists(st.one_of(st.sampled_from(EXTREME_NUMBERS),
+                                st.floats()), min_size=1, max_size=3),
+       levels=st.sampled_from(CONTRACT_LEVELS))
 @example(config={"l0_m": 1e300}, d=None, command="derive", units="si",
-         duration=None)
+         duration=None, times=[0.05], levels=2)
 @example(config={"a_m": 1e-300}, d=None, command="derive", units="si",
-         duration=None)
+         duration=None, times=[0.05], levels=2)
 @example(config={"a_m": 1e100, "l0_m": 1e-54, "gamma": 1.0}, d=None,
-         command="levels", units="si", duration=None)
+         command="levels", units="si", duration=None,
+         times=[0.05], levels=2)
 @example(config={"a_m": 1e100, "saw_wavelength_m": 1e-60}, d=None,
-         command="levels", units="si", duration=None)
+         command="levels", units="si", duration=None,
+         times=[0.05], levels=2)
 # beta's (E1 - E0)**2 leaves the float range for these
 @example(config={"gamma": 1e200}, d=None, command="adiabaticity",
-         units="si", duration=None)
+         units="si", duration=None,
+         times=[0.05], levels=2)
 @example(config={"gamma": 1.245e234, "a_m": 0.181}, d=None,
-         command="adiabaticity", units="si", duration=None)
+         command="adiabaticity", units="si", duration=None,
+         times=[0.05], levels=2)
 def test_exit_code_contract(tmp_path_factory, config, d, command, units,
-                            duration):
+                            duration, times, levels):
     """Any flat JSON config exits in {0, 2, 3, 4} without raising from
     ``derive``, ``twoqubit`` with the fixture or the solved dot (with an
-    optional --d), ``levels`` at one time with two levels,
-    ``adiabaticity`` and ``rabi``, in either --units mode, with an
-    optional --duration for ``rabi`` and the solved ``twoqubit``."""
+    optional --d), ``levels`` at one to three --times and any --levels
+    around the ends of its range, ``adiabaticity`` and ``rabi``, in
+    either --units mode, with an optional --duration for ``rabi`` and the
+    solved ``twoqubit``."""
     tmp = tmp_path_factory.mktemp("contract")
     cfg = tmp / "config.json"
     cfg.write_text(json.dumps(config))
@@ -493,6 +505,9 @@ def test_exit_code_contract(tmp_path_factory, config, d, command, units,
         args.append(f"--d={d!r}")
     if command in DURATION_COMMANDS and duration is not None:
         args.append(f"--duration={duration!r}")
+    if command == "levels":
+        args += [f"--times={','.join(map(repr, times))}",
+                 f"--levels={levels}"]
     with mock.patch.object(dynamics, "MAX_STEPS", CONTRACT_MAX_STEPS):
         code = run(args + ["--config", str(cfg), "--out", str(tmp / "out")])
     assert code in (0, 2, 3, 4)
