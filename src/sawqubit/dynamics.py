@@ -8,17 +8,18 @@ The amplitude equations (with level frequencies w0, w1 and a cosine drive)
 are integrated with a fixed-step classical 4th-order Runge-Kutta scheme for
 deterministic, regression-friendly output.  Being linear, each RK4 step is a
 2x2 matrix, built by matrix products on stacked (..., 2, 2) arrays, and a
-fixed polynomial in the drive cosines at the step's start, midpoint and
-end.  Its coefficients are found once per integration; a chunk of step
-matrices is then one BLAS product with the cosine monomials, and the
-matrices are applied by a blocked prefix scan, so no Python code runs once
-per step.  A run keeps every stride-th step and the norm drift over all of
-them, and hands each chunk's populations to a consumer such as
-``PeriodScan``, so its memory follows the rows it keeps, not its length.
-``PeriodScan`` keeps one running sum of p1 per drive period and returns the
-period, a float, from the first peak of those drive-period means.
-The step-by-step loop is kept as ``oracles.scalar_rk4``, the reference the
-tests compare against.
+trigonometric polynomial of degree 4 in the drive phase.  Its harmonic
+coefficients at each position in a block of steps are fitted once per
+integration; a chunk of step matrices is then one BLAS product with the
+harmonics of each block's start phase, and the matrices are applied by a
+blocked prefix scan, so no Python code runs once per step.  A run keeps
+every stride-th step and the norm drift over all of them, and hands each
+chunk's populations to a consumer such as ``PeriodScan``, so its memory
+follows the rows it keeps, not its length.  ``PeriodScan`` keeps one running
+sum of p1 per drive period and returns the period, a float, from the first
+peak of those drive-period means.  The step-by-step loop is kept as
+``scalar_rk4`` in ``tests/references.py``, the reference the tests compare
+against.
 """
 from __future__ import annotations
 
@@ -35,13 +36,14 @@ STEP_SAFETY = 200.0  # dt must resolve the fastest frequency by this factor
 STEP_FACTOR = 1000.0  # suggested steps per period of the fastest frequency
 MIN_PEAK = 0.05  # smallest p1 maximum that counts as an oscillation
 PERIOD_METHOD = "double_first_peak_quadratic_smoothed"  # of PeriodScan
-# A cap on the step count, and so on run time: ~0.15 us a step on one core
-# of a 2-vCPU x86 VM, ~15 s at the cap.  A row-capped run holds its rows,
-# a chunk of step matrices and the period scan's one sum per drive period
-# (at most MAX_STEPS / STEP_FACTOR = 1e5 floats).
+# A cap on the step count, and so on run time: ~0.1 us a step on one core
+# of a 2-vCPU x86 VM with one BLAS thread, ~10 s at the cap.  A row-capped
+# run holds its rows, a chunk of step matrices and the period scan's one sum
+# per drive period (at most MAX_STEPS / STEP_FACTOR = 1e5 floats).
 MAX_STEPS = 1e8
 CHUNK_STEPS = 8192  # steps whose matrices are held in memory at once
 BLOCK_STEPS = 32  # steps per prefix-product block
+HARMONICS = 4  # degree of an RK4 step matrix in the drive phase
 
 
 class StepSizeError(ValueError):
@@ -104,11 +106,11 @@ def suggested_step(params: RabiParameters) -> float:
     return 2.0 * math.pi / (STEP_FACTOR * params.max_frequency())
 
 
-def _step_matrices(params: RabiParameters, dt: float, cos_a, cos_b,
-                   cos_c) -> np.ndarray:
-    """RK4 step matrices, complex and shaped (..., 2, 2), for the drive
-    cosines ``cos_a``, ``cos_b`` and ``cos_c`` (broadcast together) at the
-    start, midpoint and end of a step.
+def _step_increments(params: RabiParameters, dt: float, cos_a, cos_b,
+                     cos_c) -> np.ndarray:
+    """RK4 step matrices less the identity, M - I, complex and shaped
+    (..., 2, 2), for the drive cosines ``cos_a``, ``cos_b`` and ``cos_c``
+    (broadcast together) at the start, midpoint and end of a step.
 
     With dC/dt = -i H(t) C, H = diag(w0, w1) + D cos(w t), and G = dt H at
     the start (a), midpoint (b) and end (c) of a step, one RK4 step maps C
@@ -121,52 +123,48 @@ def _step_matrices(params: RabiParameters, dt: float, cos_a, cos_b,
                   for cos in (cos_a, cos_b, cos_c))
     gb2 = gb @ gb
     gcgb2 = gc @ gb2
-    return (np.eye(2) - (gb @ ga + gb2 + gc @ gb) / 6.0 + gcgb2 @ ga / 24.0
+    return (-(gb @ ga + gb2 + gc @ gb) / 6.0 + gcgb2 @ ga / 24.0
             + 1j * ((gb2 @ ga + gcgb2) / 12.0 - (ga + 4.0 * gb + gc) / 6.0))
 
 
-def _step_polynomial(params: RabiParameters, dt: float) -> np.ndarray:
-    """The RK4 step matrix as a polynomial in the drive cosines.
+def _step_matrices(params: RabiParameters, dt: float, cos_a, cos_b,
+                   cos_c) -> np.ndarray:
+    """RK4 step matrices M, the identity plus ``_step_increments``."""
+    return np.eye(2) + _step_increments(params, dt, cos_a, cos_b, cos_c)
 
-    M is affine in cos_a and cos_c and quadratic in cos_b, so it is the sum
-    of 12 monomials cos_a^p cos_b^q cos_c^r (p, r <= 1, q <= 2), ordered
-    (p, q, r).  Returns the real (8, 12) matrix whose rows are the real
-    parts of the entries 00, 01, 10, 11 and then their imaginary parts:
-    the exact interpolant of ``_step_matrices`` on the nodes
-    cos_a, cos_c in {0, 1} and cos_b in {-1, 0, 1}.
+
+def _harmonics(phase, degree: int = HARMONICS) -> np.ndarray:
+    """[1, cos p, sin p, cos 2p, sin 2p, ..., sin degree*p] of ``phase``,
+    stacked on a new first axis."""
+    kp = np.multiply.outer(np.arange(1, degree + 1), phase)
+    h = np.empty((2 * degree + 1, *np.shape(phase)))
+    h[0] = 1.0
+    np.cos(kp, out=h[1::2])
+    np.sin(kp, out=h[2::2])
+    return h
+
+
+def _step_harmonics(params: RabiParameters, dt: float,
+                    degree: int = HARMONICS) -> np.ndarray:
+    """The RK4 step matrices of a block, less the identity, as
+    trigonometric polynomials in the drive phase p at the block's start.
+
+    Step j of the block has the drive cosines cos(p + j w dt),
+    cos(p + (j + 1/2) w dt) and cos(p + (j + 1) w dt).  M - I is a sum of
+    products of at most four G factors, each affine in one of them, so it
+    is a trigonometric polynomial of degree 4 in p, found exactly from
+    2 * degree + 1 equispaced phases.  Returns the complex
+    (BLOCK_STEPS * 4, 2 * degree + 1) coefficient matrix on the basis of
+    ``_harmonics``, rows laid out [j, row, column].
     """
-    # [a node, b node, c node, row, column]
-    m = _step_matrices(params, dt, np.array([0.0, 1.0])[:, None, None],
-                       np.array([-1.0, 0.0, 1.0])[:, None],
-                       np.array([0.0, 1.0]))
-    linear = np.array([[1.0, 0.0], [-1.0, 1.0]])
-    quadratic = np.array([[0.0, 1.0, 0.0], [-0.5, 0.0, 0.5], [0.5, -1.0, 0.5]])
-    coef = np.einsum("pi,qj,rk,ijkxy->xypqr", linear, quadratic, linear,
-                     m).reshape(4, 12)
-    return np.concatenate((coef.real, coef.imag))
-
-
-def _chunk_matrices(poly: np.ndarray, w: float, t: np.ndarray,
-                    dt: float) -> np.ndarray:
-    """Step matrices of the steps starting at ``t``, laid out [j, b], as
-    m[j, row, column, b]: the monomials of the three drive cosines, times
-    the coefficients ``poly`` of ``_step_polynomial``."""
-    # cos_a^p cos_b^q cos_c^r, laid out [p, q, r, j, b]
-    x = np.empty((2, 3, 2, *t.shape))
-    x[0, 0, 0] = 1.0
-    np.cos(w * (t + dt), out=x[0, 0, 1])
-    np.cos(w * (t + dt / 2.0), out=x[0, 1, 0])
-    np.cos(w * t, out=x[1, 0, 0])
-    np.multiply(x[0, 1, 0], x[0, 0, 1], out=x[0, 1, 1])
-    np.multiply(x[0, 1, 0], x[0, 1], out=x[0, 2])
-    np.multiply(x[1, 0, 0], x[0, 0, 1], out=x[1, 0, 1])
-    np.multiply(x[1, 0, 0], x[0, 1:], out=x[1, 1:])
-    # [real/imaginary, row, column, j, b]
-    entries = (poly @ x.reshape(12, -1)).reshape(2, 2, 2, *t.shape)
-    m = np.empty((t.shape[0], 2, 2, t.shape[1]), dtype=complex)
-    m.real = entries[0].transpose(2, 0, 1, 3)
-    m.imag = entries[1].transpose(2, 0, 1, 3)
-    return m
+    n = 2 * degree + 1
+    phase = 2.0 * math.pi * np.arange(n) / n
+    # [phase, j]
+    a = phase[:, None] + params.omega_drive * dt * np.arange(BLOCK_STEPS)
+    g = _step_increments(params, dt, np.cos(a),
+                         np.cos(a + params.omega_drive * dt / 2.0),
+                         np.cos(a + params.omega_drive * dt))
+    return np.linalg.solve(_harmonics(phase, degree).T, g.reshape(n, -1)).T
 
 
 def step_grid(t_span: tuple[float, float], dt: float) -> tuple[int, float]:
@@ -188,15 +186,15 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
     """Fixed-step RK4 integration of the amplitude equations.
 
     The equations are linear, so each RK4 step is a 2x2 matrix
-    (``_step_matrices``), a polynomial in the step's three drive cosines
-    whose coefficients (``_step_polynomial``) are computed once here.  The
-    steps are taken CHUNK_STEPS at a time: the chunk's matrices are one
-    (8, 12) @ (12, CHUNK_STEPS) product with the cosine monomials
-    (``_chunk_matrices``).  In a chunk, prefix products run over blocks of
-    BLOCK_STEPS consecutive steps, one vectorized pass per position in the
-    block across all blocks; the state is then carried from block to block
-    and from chunk to chunk.  Python work grows with the number of blocks,
-    not of steps.
+    (``_step_matrices``), a trigonometric polynomial in the drive phase at
+    the start of its block whose coefficients (``_step_harmonics``) are
+    computed once here.  The steps are taken CHUNK_STEPS at a time: the
+    chunk's matrices are one (128, 9) @ (9, CHUNK_STEPS / BLOCK_STEPS)
+    product with the harmonics of the blocks' start phases.  In a chunk,
+    prefix products run over blocks of BLOCK_STEPS consecutive steps, one
+    vectorized pass per position in the block across all blocks; the state
+    is then carried from block to block and from chunk to chunk.  Python
+    work grows with the number of blocks, not of steps.
 
     The result keeps every step, or at most ``max_rows`` (>= 2) rows: the
     initial state and every stride-th step after it, the stride fixed from
@@ -225,14 +223,16 @@ def integrate_rabi(params: RabiParameters, t_span: tuple[float, float],
     out1[0] = c1
     drift = 0.0
 
-    poly = _step_polynomial(params, dt)
-    # step index of position j in block b, laid out [j, b]
-    in_block = np.arange(BLOCK_STEPS)[:, None]
+    coef = _step_harmonics(params, dt)
     for start in range(0, n_steps, CHUNK_STEPS):
         count = min(CHUNK_STEPS, n_steps - start)
         n_blocks = -(-count // BLOCK_STEPS)
-        t = t0 + dt * (start + in_block + BLOCK_STEPS * np.arange(n_blocks))
-        m = _chunk_matrices(poly, params.omega_drive, t, dt)
+        # step matrices m[j, row, column, b] of the steps from block b's start
+        theta = params.omega_drive * (
+            t0 + dt * (start + BLOCK_STEPS * np.arange(n_blocks)))
+        m = (coef @ _harmonics(theta)).reshape(BLOCK_STEPS, 2, 2, n_blocks)
+        m[:, 0, 0] += 1.0  # M = I + (M - I)
+        m[:, 1, 1] += 1.0
         for j in range(1, BLOCK_STEPS):
             # m[j] <- m[j] @ m[j - 1], one 2x2 product per block
             np.add(m[j, :, :1] * m[j - 1, :1], m[j, :, 1:] * m[j - 1, 1:],

@@ -10,6 +10,8 @@ from sawqubit.dynamics import (NoOscillationError, RabiParameters,
                                rwa_population, suggested_step)
 from sawqubit.params import DeviceConfig
 
+import references
+
 NORM_DRIFT_TOL = 1e-8
 PERIOD_RTOL = 1e-4
 
@@ -108,7 +110,7 @@ def test_vectorized_rk4_matches_scalar_loop(case, request):
         dt *= 1.0 + 1e-9  # so that rounding cannot add a step
         initial = (0.6, 0.8j)
     fast = integrate_rabi(params, span, dt, initial)
-    slow = oracles.scalar_rk4(params, span, dt, initial)
+    slow = references.scalar_rk4(params, span, dt, initial)
     if isinstance(case, int):
         assert fast.times.size == case + 1
     np.testing.assert_array_equal(fast.times, slow.times)
@@ -116,24 +118,64 @@ def test_vectorized_rk4_matches_scalar_loop(case, request):
     assert dc <= 1e-10
 
 
-@pytest.mark.parametrize("case", ["default_device", "diagonal_terms"])
-def test_step_polynomial_matches_closed_form(case, request):
-    """The 12 monomial coefficients reproduce the closed-form RK4 step
-    matrix at random drive cosines."""
+def _device_params(case, request):
     if case == "default_device":
-        params = pipeline.rabi_parameters(
+        return pipeline.rabi_parameters(
             request.getfixturevalue("qubit_solution"))
-    else:
-        params = _synthetic_params(d01=0.5, d00=2.0, d11=1.5)
+    if case == "narrow_device":
+        return pipeline.rabi_parameters(pipeline.solve_qubit(
+            DeviceConfig(gamma=0.3625, a=4.083e-7)))
+    return _synthetic_params(d01=0.5, d00=2.0, d11=1.5)
+
+
+@pytest.mark.parametrize("case", ["default_device", "narrow_device"])
+def test_device_rk4_matches_scalar_loop_to_rounding(case, request):
+    """Over 3 pi/|D01| on the solved devices, the scan stays within 1e-12
+    of the step-by-step loop: offsets inside a block are exact multiples
+    of w dt, so only rounding separates the two."""
+    params = _device_params(case, request)
     dt = suggested_step(params)
-    cos_a, cos_b, cos_c = np.random.default_rng(7).uniform(-1.0, 1.0, (3, 50))
-    monomials = np.array([cos_a**p * cos_b**q * cos_c**r for p in (0, 1)
-                          for q in (0, 1, 2) for r in (0, 1)])
-    entries = dynamics._step_polynomial(params, dt) @ monomials
-    poly = (entries[:4] + 1j * entries[4:]).T.reshape(-1, 2, 2)
-    closed = dynamics._step_matrices(params, dt, cos_a, cos_b, cos_c)
-    assert closed.shape == (50, 2, 2)
-    assert np.abs(poly - closed).max() <= 1e-14
+    span = (0.0, 3.0 * math.pi / abs(params.D[0, 1]))
+    fast = integrate_rabi(params, span, dt, (1.0, 0.0))
+    slow = references.scalar_rk4(params, span, dt, (1.0, 0.0))
+    dc = max(np.abs(fast.c0 - slow.c0).max(), np.abs(fast.c1 - slow.c1).max())
+    assert dc <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["default_device", "diagonal_terms"])
+def test_step_harmonics_match_closed_form(case, request):
+    """The fitted harmonics reproduce the closed-form RK4 step matrix at
+    every position in a block, at random block start phases."""
+    params = _device_params(case, request)
+    dt = suggested_step(params)
+    w = params.omega_drive
+    theta = np.random.default_rng(7).uniform(-50.0, 50.0, 50)
+    g = (dynamics._step_harmonics(params, dt)
+         @ dynamics._harmonics(theta)).reshape(B, 2, 2, theta.size)
+    fitted = np.moveaxis(g, -1, 0) + np.eye(2)
+    a = theta[:, None] + w * dt * np.arange(B)  # [block, j]
+    closed = dynamics._step_matrices(params, dt, np.cos(a),
+                                     np.cos(a + w * dt / 2.0),
+                                     np.cos(a + w * dt))
+    assert closed.shape == (50, B, 2, 2)
+    assert np.abs(fitted - closed).max() <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["default_device", "diagonal_terms"])
+def test_step_matrix_is_degree_four_in_the_drive_phase(case, request):
+    """Refitted to degree 5, the step matrices have a 4th harmonic but no
+    5th, and the production fit is the refit without its 5th harmonic:
+    the degree-4 fit is exact, not a truncation."""
+    params = _device_params(case, request)
+    dt = suggested_step(params)
+    coef = dynamics._step_harmonics(params, dt, degree=5)
+    assert coef.shape == (4 * B, 11)
+    scale = np.abs(coef).max()
+    fifth = np.abs(coef[:, -2:]).max()
+    assert fifth <= 1e-15 * scale
+    assert np.abs(coef[:, -4:-2]).max() >= 1e3 * fifth
+    assert np.abs(dynamics._step_harmonics(params, dt)
+                  - coef[:, :-2]).max() <= 1e-15 * scale
 
 
 def test_transient_memory_is_bounded_by_the_chunk():

@@ -9,6 +9,8 @@ from sawqubit.eigensolver import (BOUND_FRACTION, bound_fractions,
                                   build_grid, build_hamiltonian, solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
+import references
+
 ORTHO_TOL = 1e-8
 NORM_TOL = 1e-10
 SPECTRUM_RTOL = 1e-4
@@ -187,7 +189,7 @@ def test_track_static_potential():
     config = DeviceConfig(gamma=0.0)
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 64)[:6]
-    traj = oracles.track_dot_levels(times, config, scales, count=3)
+    traj = references.track_dot_levels(times, config, scales, count=3)
     np.testing.assert_allclose(traj.min_overlaps, 1.0, atol=1e-10)
     energies = traj.energies()
     assert np.ptp(energies, axis=0).max() < 1e-10
@@ -197,9 +199,9 @@ def test_track_weak_saw_continuity_and_reversal():
     config = DeviceConfig(gamma=0.05)
     scales = derive_scales(config)
     times = pipeline.default_times(scales, 64)[:8]
-    fwd = oracles.track_dot_levels(times, config, scales)
+    fwd = references.track_dot_levels(times, config, scales)
     assert fwd.min_overlaps.min() > 0.99
-    rev = oracles.track_dot_levels(times[::-1], config, scales)
+    rev = references.track_dot_levels(times[::-1], config, scales)
     np.testing.assert_array_equal(fwd.energies(), rev.energies()[::-1])
 
 
@@ -208,8 +210,8 @@ def test_track_rejects_unordered_times():
     scales = derive_scales(config)
     for times in ([0.0, 2e-12, 1e-12], [1e-12, 1e-12], []):
         with pytest.raises(ValueError):
-            oracles.track_dot_levels(np.array(times), config, scales,
-                                     count=1)
+            references.track_dot_levels(np.array(times), config, scales,
+                                        count=1)
 
 
 def test_dot_trajectory_continuity(qubit_solution):

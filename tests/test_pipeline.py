@@ -7,8 +7,10 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from sawqubit import adiabatic, dynamics, eigensolver, oracles, pipeline
+from sawqubit import adiabatic, dynamics, eigensolver, pipeline
 from sawqubit.params import DeviceConfig, derive_scales
+
+import references
 
 
 @pytest.mark.parametrize("geometry", [{}, {"gamma": 0.3625, "a": 4.083e-7}],
@@ -118,7 +120,7 @@ def test_adiabaticity_profile_matches_full_tracking(geometry):
     config = DeviceConfig(**geometry)
     scales = derive_scales(config)
     prof = pipeline.adiabaticity_profile(config, scales)
-    ref = oracles.track_dot_levels(prof.times, config, scales)
+    ref = references.track_dot_levels(prof.times, config, scales)
     ref_beta = [adiabatic.adiabaticity_beta(levels, t, scales)
                 for t, levels in zip(ref.times, ref.levels)]
     np.testing.assert_allclose(prof.energies, ref.energies(), rtol=1e-10,
