@@ -33,7 +33,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_VALIDATION = 4
 
-NUMERICAL_ERRORS = (SolverError, dynamics.StepSizeError,
+NUMERICAL_ERRORS = (SolverError, pipeline.UnboundQubitError,
+                    dynamics.StepSizeError,
                     dynamics.NoOscillationError,
                     twoqubit.NoExchangeCouplingError,
                     twoqubit.PhaseResolutionError,

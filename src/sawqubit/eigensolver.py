@@ -5,6 +5,11 @@ boundaries (wavefunction implicitly zero one spacing outside the grid).
 The solver extracts only the lowest-k eigenpairs of the resulting symmetric
 tridiagonal matrix, as one :class:`Levels` record that carries its grid;
 matrix elements of solved states are taken only by ``Levels.matrix``.
+It bisects the whole spectrum (LAPACK stebz, then stein) unless it is
+given energy guesses, e.g. a neighbouring sample's levels: it then runs
+inverse iteration from them and keeps the result only if a gate of
+residuals, level spacing and a Sturm count proves it the lowest k, else
+it bisects as without guesses.
 
 The Hamiltonian is in natural units only (see :mod:`sawqubit.params`):
 hbar = 1 and mass 1/2, so the kinetic prefactor hbar^2/(2m) is 1.  The
@@ -15,6 +20,7 @@ units; the pipeline samples the model potential of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +46,12 @@ class Grid:
     def h(self) -> float:
         return (self.z_max - self.z_min) / (self.n_points - 1)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(self.z_min, self.z_max, self.n_points)
+        """The nodes, built once per grid and read-only."""
+        z = np.linspace(self.z_min, self.z_max, self.n_points)
+        z.flags.writeable = False
+        return z
 
 
 def build_grid(z_min: float, z_max: float, n_points: int) -> Grid:
@@ -121,25 +130,30 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[i] < 0 else vec
 
 
-def solve_lowest(H: TridiagonalHamiltonian, count: int, grid: Grid) -> Levels:
+def solve_lowest(H: TridiagonalHamiltonian, count: int, grid: Grid,
+                 near=None) -> Levels:
     """Lowest ``count`` levels of H, energies nondecreasing, orthonormal.
 
     Each state is normalized with the spacing h of ``grid``
     (sum |psi_i|^2 h = 1) and has its largest-magnitude component positive.
-    """
-    # imported here: scipy.linalg costs every process ~0.2-0.3 s to load,
-    # and most subcommands never solve
-    from scipy.linalg import eigh_tridiagonal
 
+    ``near``, when given, holds ``count`` energy guesses, e.g. the levels
+    of a neighbouring sample: the levels are then found by inverse
+    iteration from them (``_inverse_iteration``) and kept only if they
+    pass its gate, which proves them the lowest ``count``.  Any other
+    outcome, including non-finite guesses, falls back to bisecting the
+    whole tridiagonal, the only path taken without ``near``.
+    """
     n = H.n
     if not (1 <= count <= n):
         raise ValueError(f"count must be in [1, {n}], got {count}")
-    try:
-        w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal,
-                                select="i", select_range=(0, count - 1))
-    except Exception as exc:  # pragma: no cover - LAPACK failure path
-        raise SolverError(f"tridiagonal eigensolver failed for n={n}, "
-                          f"count={count}: {exc}") from exc
+    pairs = None
+    if near is not None:
+        if np.shape(near) != (count,):
+            raise ValueError(f"need {count} energy guesses, got shape "
+                             f"{np.shape(near)}")
+        pairs = _inverse_iteration(H, np.asarray(near, dtype=float))
+    w, v = pairs if pairs is not None else _bisect(H, count)
     states = np.empty((count, n))
     for i in range(count):
         vec = _fix_sign(v[:, i]) / np.sqrt(grid.h)
@@ -150,6 +164,90 @@ def solve_lowest(H: TridiagonalHamiltonian, count: int, grid: Grid) -> Levels:
                 f"(energy {w[i]:.6e}, n={n})")
         states[i] = vec
     return Levels(energies=w, states=states, grid=grid)
+
+
+def _bisect(H: TridiagonalHamiltonian, count: int):
+    """Lowest ``count`` eigenpairs of H by bisection and inverse iteration
+    (LAPACK stebz, then stein), as (energies, states in columns)."""
+    # imported here, as in ``_inverse_iteration``: scipy.linalg costs
+    # every process ~0.2-0.3 s to load, and most subcommands never solve
+    from scipy.linalg import eigh_tridiagonal
+
+    try:
+        return eigh_tridiagonal(H.diagonal, H.off_diagonal,
+                                select="i", select_range=(0, count - 1))
+    except Exception as exc:  # pragma: no cover - LAPACK failure path
+        raise SolverError(f"tridiagonal eigensolver failed for n={H.n}, "
+                          f"count={count}: {exc}") from exc
+
+
+# The gate on warm-started pairs, both relative to max|diag H| (about 5e5
+# on the 1025-point dot window).  WARM_RESIDUAL_TOL bounds each residual
+# |Hv - Ev| to ~5e-9 there: bisection pairs show ~1e-10, while pairs that
+# inverse iteration leaves unconverged passed RESIDUAL_TOL with residuals
+# up to 2e-4 and moved beta by ~1e-3.  WARM_SEPARATION, ~5 natural units,
+# is the least spacing of accepted levels (dot spacings are 20-80) and
+# the margin of the Sturm count above the top level: with residuals far
+# below it, each accepted quotient lies next to its own eigenvalue, each
+# state within residual/spacing (~1e-9) of its eigenvector, and a count
+# of exactly ``count`` levels up to the margin leaves no lower one.
+WARM_RESIDUAL_TOL = 1e-14
+WARM_SEPARATION = 1e-5
+# Inverse-iteration passes before bisecting: a guess within ~1 of its
+# level takes two (residuals ~1e-6 of max|diag H|, then below 1e-15), one
+# that is off by ~10 or next to a near crossing sometimes three.
+WARM_PASSES = 3
+
+
+def _inverse_iteration(H: TridiagonalHamiltonian, near: np.ndarray):
+    """Eigenpairs of H next to the guesses ``near``, as (Rayleigh quotients,
+    unit states in columns), or None unless they pass the gate.
+
+    Inverse iteration (LAPACK stein) runs at the guesses, then at the
+    Rayleigh quotients of what it found, until every residual is within
+    WARM_RESIDUAL_TOL or WARM_PASSES passes are spent.  The gate: stein
+    succeeds on increasing, finite shifts; the residuals converge; the
+    quotients are at least WARM_SEPARATION apart in increasing order; and
+    a Sturm count (stebz, counting only) finds exactly ``len(near)``
+    eigenvalues up to the top quotient plus WARM_SEPARATION.  Never
+    raises: any failure returns None.
+    """
+    from scipy.linalg.lapack import dstebz, dstein
+
+    d, e = H.diagonal, H.off_diagonal
+    # stein's wrapper takes no 1x1 matrix
+    if H.n < 2 or not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        return None
+    n, count = H.n, len(near)
+    scale = max(1.0, np.abs(d).max())
+    iblock = np.ones(n, dtype=np.intc)  # every level in one block,
+    isplit = np.full(n, n, dtype=np.intc)  # which is the whole matrix
+    w = near
+    for _ in range(WARM_PASSES):
+        if not (np.all(np.isfinite(w)) and np.all(w[1:] > w[:-1])):
+            return None
+        v, info = dstein(d, e, w, iblock, isplit)
+        if info != 0:
+            return None
+        hv = np.column_stack([H.apply(col) for col in v.T])
+        w = np.einsum("ij,ij->j", v, hv)
+        resid = np.linalg.norm(hv - w * v, axis=0)
+        if np.all(resid <= WARM_RESIDUAL_TOL * scale):
+            break
+    else:
+        return None
+    sep = WARM_SEPARATION * scale
+    if not np.all(w[1:] - w[:-1] >= sep):
+        return None
+    # below every eigenvalue (Gershgorin), less the margin
+    floor = d.min() - 2.0 * np.abs(e).max() - sep
+    # range 1 counts the eigenvalues in (floor, top]; a tolerance of 1e300
+    # ends the bisection at once, so stebz only counts
+    found, _, _, _, info = dstebz(d, e, 1, floor, w[-1] + sep, 0, 0, 1e300,
+                                  "E")
+    if info != 0 or found != count:
+        return None
+    return w, v
 
 
 def bound_fractions(levels: Levels, v: np.ndarray,

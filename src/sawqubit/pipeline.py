@@ -14,8 +14,8 @@ import numpy as np
 
 from . import adiabatic, dynamics, potential
 from .constants import CONSTANTS
-from .eigensolver import (Grid, Levels, build_grid, build_hamiltonian,
-                          solve_lowest)
+from .eigensolver import (BOUND_FRACTION, Grid, Levels, bound_fractions,
+                          build_grid, build_hamiltonian, solve_lowest)
 from .params import (DOT_WINDOW_POINTS, DeviceConfig, DerivedScales,
                      derive_scales)
 
@@ -34,6 +34,10 @@ REFERENCE_Z_UPPER = np.array([[-5.6186e-7, -5.6431e-8],
 REFERENCE_Z_LOWER = np.array([[-5.3594e-7, -5.6607e-8],
                               [-5.6607e-8, -5.4418e-7]])
 REFERENCE_QUBIT_SPLITTING = 8.3667e-23  # J, used with the reference elements
+
+
+class UnboundQubitError(RuntimeError):
+    """A qubit level at t* lies mostly outside the dot."""
 
 
 def default_grid(config: DeviceConfig) -> Grid:
@@ -76,27 +80,37 @@ def solve_dot_levels(t: float, config: DeviceConfig, scales: DerivedScales,
 
 
 def _solve_window(t: float, center: float, config: DeviceConfig,
-                  scales: DerivedScales, count: int) -> Levels:
-    """Lowest ``count`` levels on the lambda-wide window around ``center``."""
+                  scales: DerivedScales, count: int,
+                  near: np.ndarray | None = None) -> Levels:
+    """Lowest ``count`` levels on the lambda-wide window around ``center``;
+    ``near`` holds energy guesses for them (see ``solve_lowest``)."""
     half = 0.5 * config.saw_wavelength / config.a
     grid = build_grid(center - half, center + half, DOT_WINDOW_POINTS)
     H = build_hamiltonian(
         grid, lambda zeta: potential.effective(zeta, t, scales))
-    return solve_lowest(H, count, grid=grid)
+    return solve_lowest(H, count, grid=grid, near=near)
+
+
+def _overlaps(a: Levels, b: Levels) -> np.ndarray:
+    """|<a_i|b_i>| per level, with a's states interpolated onto b's grid."""
+    z = b.grid.points
+    return np.abs([np.sum(np.interp(z, a.grid.points, p, left=0.0,
+                                    right=0.0) * q) * b.grid.h
+                   for p, q in zip(a.states, b.states)])
 
 
 def min_level_overlaps(samples: list[Levels]) -> np.ndarray:
     """Smallest |overlap| of each level between neighbouring samples.
 
-    Each sample's states are interpolated onto the next sample's window.
+    Each overlap is the mean of interpolating either sample's states onto
+    the other's window.  Linear interpolation is not symmetric, and one
+    direction alone gives a pair and its mirror image, whose order is
+    reversed, overlaps up to ~1e-5 apart for states reaching the walls.
     """
     min_ov = np.ones(len(samples[0].states))
     for prev, cur in zip(samples, samples[1:]):
-        z = cur.grid.points
-        ov = [np.sum(np.interp(z, prev.grid.points, p, left=0.0,
-                               right=0.0) * c) * cur.grid.h
-              for p, c in zip(prev.states, cur.states)]
-        min_ov = np.minimum(min_ov, np.abs(ov))
+        mean = 0.5 * (_overlaps(prev, cur) + _overlaps(cur, prev))
+        min_ov = np.minimum(min_ov, mean)
     return min_ov
 
 
@@ -159,14 +173,36 @@ def _first_half(config: DeviceConfig, scales: DerivedScales
 
 
 def solve_qubit(config: DeviceConfig) -> QubitSolution:
-    """The qubit levels at t*, the sample of strongest confinement."""
+    """The qubit levels at t*, the sample of strongest confinement.
+
+    Raises UnboundQubitError when either level keeps less than
+    BOUND_FRACTION of its weight between the crests flanking the well
+    (``bound_fractions``): the window's lowest pair is then not the dot's.
+    """
     scales = derive_scales(config)
     times, centers, idx = _first_half(config, scales)
     levels = _solve_window(times[idx], centers[idx], config, scales,
                            QUBIT_LEVELS)
+    weights = bound_fractions(
+        levels, potential.effective(levels.grid.points, times[idx], scales),
+        centers[idx])
+    if not np.all(weights >= BOUND_FRACTION):
+        raise UnboundQubitError(
+            "the qubit levels at t* keep "
+            f"{', '.join(f'{w:.4f}' for w in weights)} of their weight "
+            f"between the crests of the dot, below {BOUND_FRACTION}")
     return QubitSolution(config=config, scales=scales, levels=levels,
                          t_star=float(times[idx]),
                          well_center=float(centers[idx]))
+
+
+def _next_energies(samples: list[Levels]) -> np.ndarray | None:
+    """Energy guesses for the sample after ``samples``: none for the
+    first, the last sample's energies for the second, and the linear
+    extrapolation 2 E(i-1) - E(i-2) after that."""
+    if len(samples) < 2:
+        return samples[-1].energies if samples else None
+    return 2.0 * samples[-1].energies - samples[-2].energies
 
 
 def adiabaticity_profile(config: DeviceConfig,
@@ -174,13 +210,18 @@ def adiabaticity_profile(config: DeviceConfig,
     """beta(t) and the qubit energies over the SAW period.
 
     Only the first half is solved: sample n-1-i is the mirror image of
-    sample i, with the same energies and beta.  The minimum overlaps run
-    over the first half and its last sample against that sample's mirror
-    image; the second-half neighbours mirror the first-half ones.
+    sample i, with the same energies and beta.  Sample 0 is bisected;
+    each later one starts inverse iteration from its neighbours' energies
+    (``_next_energies``) and is bisected only where the warm start fails
+    the solver's gate.  The minimum overlaps run over the first half and
+    its last sample against that sample's mirror image; the second-half
+    neighbours mirror the first-half ones.
     """
     times, centers, idx = _first_half(config, scales)
-    samples = [_solve_window(t, c, config, scales, QUBIT_LEVELS)
-               for t, c in zip(times, centers)]
+    samples = []
+    for t, c in zip(times, centers):
+        samples.append(_solve_window(t, c, config, scales, QUBIT_LEVELS,
+                                     near=_next_energies(samples)))
     beta = np.array([adiabatic.adiabaticity_beta(levels, t, scales)
                      for t, levels in zip(times, samples)])
     energies = np.array([levels.energies for levels in samples])

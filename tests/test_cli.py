@@ -122,6 +122,10 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
             # a >> lambda flattens sech^2(z/a) across the dot: D01 ~ 0, and
             # 1.5 Rabi periods need more than the 1e8 RK4 steps allowed
             (["rabi"], {"a_m": 4.1e-6, "l0_m": 1.7e-5}, "Rabi period"),
+            # at t* the window's level 1 keeps 0.87 of its weight in the
+            # dot, so the pair is not the qubit
+            (["rabi"], {"gamma": 0.1}, "between the crests"),
+            (["twoqubit"], {"gamma": 0.1}, "between the crests"),
             # the exchange coupling underflows to zero at this separation
             (["twoqubit", "--fixture-paper-z", "--d", "1e100"], {},
              "c_xx is zero"),

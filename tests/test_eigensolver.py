@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from sawqubit import oracles, pipeline
-from sawqubit.eigensolver import (BOUND_FRACTION, bound_fractions,
+from sawqubit import adiabatic, eigensolver, oracles, pipeline, potential
+from sawqubit.eigensolver import (BOUND_FRACTION, Grid, bound_fractions,
                                   build_grid, build_hamiltonian, solve_lowest)
 from sawqubit.params import DeviceConfig, derive_scales
 
@@ -29,6 +29,18 @@ def test_grid_spacing():
 def test_grid_three_points():
     grid = build_grid(0.0, 1.0, 3)
     np.testing.assert_allclose(grid.points, [0.0, 0.5, 1.0])
+
+
+def test_grid_points_built_once():
+    """The nodes are one read-only linspace per grid, bit for bit, and
+    grids still compare by their fields alone."""
+    grid = build_grid(-3.0, 5.0, 1025)
+    z = grid.points
+    assert grid.points is z
+    np.testing.assert_array_equal(z, np.linspace(-3.0, 5.0, 1025))
+    assert not z.flags.writeable
+    assert grid == Grid(-3.0, 5.0, 1025)
+    assert hash(grid) == hash(Grid(-3.0, 5.0, 1025))
 
 
 def test_grid_rejects_inverted_bounds():
@@ -249,3 +261,103 @@ def test_crossing_levels_follow_character():
     assert left_index == 1
     weight_left = np.sum(prev[1][grid.points < 0] ** 2)
     assert weight_left * grid.h > 0.99
+
+
+def _window_hamiltonian(sample=4):
+    """The default config's dot-window Hamiltonian at a first-half sample."""
+    config = DeviceConfig()
+    scales = derive_scales(config)
+    t = pipeline.default_times(scales)[sample]
+    center = adiabatic.find_well_minimum(t, config, scales)
+    half = 0.5 * config.saw_wavelength / config.a
+    grid = build_grid(center - half, center + half, 1025)
+    H = build_hamiltonian(grid, lambda z: potential.effective(z, t, scales))
+    return H, grid
+
+
+def _bisections(monkeypatch):
+    """A list that gains one entry per bisection the solver makes."""
+    calls = []
+    bisect = eigensolver._bisect
+
+    def counted(H, count):
+        calls.append(count)
+        return bisect(H, count)
+
+    monkeypatch.setattr(eigensolver, "_bisect", counted)
+    return calls
+
+
+def test_warm_start_matches_bisection(monkeypatch):
+    """Guesses off by a few natural units: inverse iteration, no
+    bisection, and the same levels to rounding."""
+    H, grid = _window_hamiltonian()
+    cold = solve_lowest(H, 2, grid=grid)
+    calls = _bisections(monkeypatch)
+    warm = solve_lowest(H, 2, grid=grid, near=cold.energies + [3.0, -2.0])
+    assert calls == []
+    scale = np.abs(H.diagonal).max()
+    assert np.abs(warm.energies - cold.energies).max() <= 1e-14 * scale
+    assert np.abs(warm.states - cold.states).max() <= 1e-10
+    assert eigensolver.WARM_SEPARATION * scale < np.diff(cold.energies)[0]
+
+
+@pytest.mark.parametrize("pick", [
+    # levels 1 and 2: each pair converges, the Sturm count finds 3
+    lambda e: e[1:3],
+    # both next to E1: one of them cannot converge to E1
+    lambda e: e[1] + np.array([-0.5, 0.5]),
+    lambda e: np.array([np.nan, e[1]]),
+    lambda e: np.array([e[0], np.inf]),
+    lambda e: np.array([-np.inf, np.inf]),
+    # decreasing guesses
+    lambda e: e[1::-1],
+    # finite, but far past the float range of the shifted matrix
+    lambda e: np.array([-1e308, 1e308]),
+], ids=["levels_1_2", "both_near_E1", "nan", "inf", "both_inf",
+        "decreasing", "huge"])
+def test_warm_start_falls_back_to_bisection(monkeypatch, pick):
+    """Guesses that lead elsewhere, or are not numbers, still give the
+    lowest two levels, bisected and equal to a cold solve bit for bit."""
+    H, grid = _window_hamiltonian()
+    cold = solve_lowest(H, 2, grid=grid)
+    spectrum = solve_lowest(H, 3, grid=grid).energies
+    calls = _bisections(monkeypatch)
+    warm = solve_lowest(H, 2, grid=grid, near=pick(spectrum))
+    assert calls == [2]
+    np.testing.assert_array_equal(warm.energies, cold.energies)
+    np.testing.assert_array_equal(warm.states, cold.states)
+
+
+def test_warm_start_bisects_close_levels(monkeypatch):
+    """A tunnel-split doublet 1.6e-4 apart, under the gate's least
+    spacing: exact guesses converge, yet the pair is bisected."""
+    grid = build_grid(-12.0, 12.0, 1025)
+    H = build_hamiltonian(grid, lambda z: (-25.0 / np.cosh(z + 2.0) ** 2
+                                           - 25.0 / np.cosh(z - 2.0) ** 2))
+    cold = solve_lowest(H, 2, grid=grid)
+    spacing = np.diff(cold.energies)[0]
+    assert 0 < spacing < eigensolver.WARM_SEPARATION * np.abs(H.diagonal).max()
+    calls = _bisections(monkeypatch)
+    warm = solve_lowest(H, 2, grid=grid, near=cold.energies)
+    assert calls == [2]
+    np.testing.assert_array_equal(warm.energies, cold.energies)
+    np.testing.assert_array_equal(warm.states, cold.states)
+
+
+@pytest.mark.parametrize("diagonal, off_diagonal", [
+    ([2.0], []),  # 1x1: no inverse iteration to run
+    ([2.0, np.nan, 1.0], [-1.0, -1.0]),
+    ([2.0, 3.0, 1.0], [-1.0, np.inf]),
+], ids=["one_point", "nan_diagonal", "inf_off_diagonal"])
+def test_warm_start_declines_without_raising(diagonal, off_diagonal):
+    H = eigensolver.TridiagonalHamiltonian(np.array(diagonal),
+                                           np.array(off_diagonal))
+    near = np.arange(H.n, dtype=float)
+    assert eigensolver._inverse_iteration(H, near) is None
+
+
+def test_warm_start_rejects_wrong_guess_count():
+    H, grid = _window_hamiltonian()
+    with pytest.raises(ValueError, match="energy guesses"):
+        solve_lowest(H, 2, grid=grid, near=[1.0, 2.0, 3.0])

@@ -101,6 +101,37 @@ def test_profile_builds_no_level_trajectory():
         assert not re.search(r"\.(wavefunction|energy)\b", text), path.name
 
 
+def test_adiabaticity_profile_warm_starts(monkeypatch):
+    """On the default config the profile bisects sample 0 alone; the 31
+    others pass the gate from their neighbours' energies, the same on
+    every run."""
+    config = DeviceConfig()
+    scales = derive_scales(config)
+    calls = []
+    bisect = eigensolver._bisect
+    warm = eigensolver._inverse_iteration
+
+    def counted(name, fn):
+        def wrapper(*args):
+            result = fn(*args)
+            calls.append(name if result is not None else "rejected")
+            return result
+        return wrapper
+
+    monkeypatch.setattr(eigensolver, "_bisect", counted("bisect", bisect))
+    monkeypatch.setattr(eigensolver, "_inverse_iteration",
+                        counted("warm", warm))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        pipeline.adiabaticity_profile(config, scales)
+        counts.append({name: calls.count(name)
+                       for name in ("bisect", "warm", "rejected")})
+    half = pipeline.DEFAULT_N_TIMES // 2
+    assert counts == 2 * [{"bisect": 1, "warm": half - 1, "rejected": 0}]
+    assert calls[0] == "bisect"
+
+
 @pytest.mark.parametrize("gamma, index", [(0.3625, 0), (0.55, 0), (0.65, 0),
                                           (0.2, 17)])
 def test_t_star_in_first_half(gamma, index):
@@ -113,8 +144,9 @@ def test_t_star_in_first_half(gamma, index):
     assert prof.t_star_index == index
 
 
-@pytest.mark.parametrize("geometry", [{}, {"gamma": 0.55}],
-                         ids=["default", "gamma_0.55"])
+@pytest.mark.parametrize("geometry", [{}, {"gamma": 0.55},
+                                      {"gamma": 0.3625, "a": 4.083e-7}],
+                         ids=["default", "gamma_0.55", "narrow"])
 def test_adiabaticity_profile_matches_full_tracking(geometry):
     """The mirrored half of the profile against solving every sample."""
     config = DeviceConfig(**geometry)
